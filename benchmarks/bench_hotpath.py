@@ -18,7 +18,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.platform import KERNEL_ENGINES  # noqa: E402
 from repro.exp.hotpath import (  # noqa: E402
     BENCH_FILE,
     baseline_mismatch,
@@ -47,14 +46,10 @@ def main(argv=None) -> int:
                         help="exit non-zero on >tolerance regression vs baseline")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown for --check (default: 0.25)")
-    parser.add_argument("--engine", default="exact", choices=KERNEL_ENGINES,
-                        help="kernel engine to tag the run with "
-                             "(default: exact)")
     args = parser.parse_args(argv)
 
     baseline = load_results(args.baseline)
-    current = run_suite(quick=args.quick, repeats=args.repeats,
-                        engine=args.engine)
+    current = run_suite(quick=args.quick, repeats=args.repeats)
     baseline_metrics = (baseline or {}).get("metrics")
     print(render_comparison(current, baseline))
 

@@ -108,7 +108,6 @@ from .analysis import (
     render_rows,
 )
 from .core.deadlock import SOLUTIONS, run_deadlock_demo
-from .core.platform import ENGINE_NAMES, KERNEL_ENGINES
 from .core.reduction import reduce_protocols
 from .errors import ConfigError, IntegrationError, ReproError
 from .exp import SweepRunner
@@ -224,11 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allowed drift before --check fails (default: "
                         "0.25 for hotpath wall-clock, exact for the "
                         "simulated scaleout/fabrics metrics)")
-    p.add_argument("--engine", default="exact", choices=ENGINE_NAMES,
-                   help="simulation engine (default: exact; hotpath "
-                        "tags its results with it, the microbench "
-                        "scenarios run the event kernel so they accept "
-                        "the kernel engines only)")
     return parser
 
 
@@ -365,9 +359,7 @@ def _cmd_bench_hotpath(args) -> int:
         print("bench hotpath --check: no baseline found -- run "
               "benchmarks/bench_hotpath.py to commit one", file=sys.stderr)
         return 2
-    current = hotpath.run_suite(
-        quick=args.quick, repeats=args.repeats, engine=args.engine
-    )
+    current = hotpath.run_suite(quick=args.quick, repeats=args.repeats)
     print(hotpath.render_comparison(current, baseline))
     if baseline is None:
         print("(no baseline found -- run benchmarks/bench_hotpath.py to commit one)")
@@ -478,12 +470,6 @@ def _cmd_bench(args) -> int:
         print(f"bench {args.scenario}: a solution "
               "(disabled/software/proposed) is required", file=sys.stderr)
         return 2
-    if args.engine not in KERNEL_ENGINES:
-        print(f"bench {args.scenario}: engine {args.engine!r} is "
-              "statistics-only and cannot run program-driven "
-              f"microbenchmarks (choose from {list(KERNEL_ENGINES)})",
-              file=sys.stderr)
-        return 2
     spec = MicrobenchSpec(
         scenario=args.scenario,
         solution=args.solution,
@@ -491,7 +477,7 @@ def _cmd_bench(args) -> int:
         exec_time=args.exec_time,
         iterations=args.iterations,
     )
-    result = run_microbench(spec, check=args.check, engine=args.engine)
+    result = run_microbench(spec, check=args.check)
     print(f"{spec.scenario}/{spec.solution}: {result.elapsed_ns} ns "
           f"({result.elapsed_us:.1f} us), {result.isr_entries} ISR entries")
     for key in sorted(result.stats):

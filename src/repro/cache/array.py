@@ -14,6 +14,11 @@ from .line import CacheLine, State
 
 __all__ = ["CacheGeometry", "CacheArray"]
 
+# Reading an Enum member off its class goes through the metaclass's
+# attribute hook on CPython 3.11 (~100 ns); the per-access paths compare
+# against this module alias instead.
+_INVALID = State.INVALID
+
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -24,7 +29,7 @@ class CacheGeometry:
 
     __slots__ = (
         "size_bytes", "line_bytes", "ways", "line_words", "n_sets",
-        "_offset_bits", "_index_bits",
+        "offset_bits", "set_mask", "tag_shift",
     )
 
     def __init__(self, size_bytes: int, line_bytes: int = 32, ways: int = 4):
@@ -41,8 +46,9 @@ class CacheGeometry:
         self.ways = ways
         self.line_words = line_bytes // 4
         self.n_sets = size_bytes // (line_bytes * ways)
-        self._offset_bits = line_bytes.bit_length() - 1
-        self._index_bits = self.n_sets.bit_length() - 1
+        self.offset_bits = line_bytes.bit_length() - 1
+        self.set_mask = self.n_sets - 1
+        self.tag_shift = self.offset_bits + self.n_sets.bit_length() - 1
 
     def line_base(self, addr: int) -> int:
         """Address of the first byte of the line containing ``addr``."""
@@ -50,11 +56,11 @@ class CacheGeometry:
 
     def set_index(self, addr: int) -> int:
         """Set index for ``addr``."""
-        return (addr >> self._offset_bits) & (self.n_sets - 1)
+        return (addr >> self.offset_bits) & self.set_mask
 
     def tag(self, addr: int) -> int:
         """Tag bits for ``addr``."""
-        return addr >> (self._offset_bits + self._index_bits)
+        return addr >> self.tag_shift
 
     def word_offset(self, addr: int) -> int:
         """Index of ``addr``'s word within its line."""
@@ -62,9 +68,7 @@ class CacheGeometry:
 
     def rebuild_addr(self, tag: int, set_index: int) -> int:
         """Line base address from (tag, set index) — for victim lookup."""
-        return (tag << (self._offset_bits + self._index_bits)) | (
-            set_index << self._offset_bits
-        )
+        return (tag << self.tag_shift) | (set_index << self.offset_bits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -76,26 +80,32 @@ class CacheGeometry:
 class CacheArray:
     """Tag/data storage with per-set LRU.
 
-    Alongside the way-indexed storage (``_sets``, which models the
+    Alongside the way-indexed storage (``sets``, which models the
     physical ways and backs LRU victim selection) each set keeps a
     ``tag -> (way, line)`` dict so :meth:`lookup` is O(1) instead of a
     linear scan over the ways — the TAG-CAM-style behaviour every
     processor access and every snoop pays for.  ``install``, ``remove``
-    and ``release_way`` keep the two views coherent; LRU stamping is
-    unchanged.
+    and ``release_way`` keep the two views coherent.  ``index`` and
+    ``clock`` are public so the batch engine's inlined hit path can do
+    what ``lookup(addr, touch=True)`` does without a call.
     """
 
-    __slots__ = ("geom", "_sets", "_index", "_clock")
+    __slots__ = ("geom", "sets", "index", "clock")
 
     def __init__(self, geometry: CacheGeometry):
         self.geom = geometry
-        self._sets: List[List[Optional[CacheLine]]] = [
+        self.sets: List[List[Optional[CacheLine]]] = [
             [None] * geometry.ways for _ in range(geometry.n_sets)
         ]
-        self._index: List[dict[int, Tuple[int, CacheLine]]] = [
+        self.index: List[dict[int, Tuple[int, CacheLine]]] = [
             {} for _ in range(geometry.n_sets)
         ]
-        self._clock = 0
+        self.clock = 0
+
+    def _slot(self, addr: int) -> Tuple[int, int]:
+        """``(set index, tag)`` of ``addr``."""
+        geom = self.geom
+        return (addr >> geom.offset_bits) & geom.set_mask, addr >> geom.tag_shift
 
     # -- lookup ---------------------------------------------------------------
     def lookup(self, addr: int, touch: bool = False) -> Optional[CacheLine]:
@@ -104,18 +114,22 @@ class CacheArray:
         ``touch`` refreshes the line's LRU stamp (processor-side accesses
         touch; snoops must not disturb recency).
         """
+        # set_index/tag inlined: every processor access and every snoop
+        # probe comes through here.
         geom = self.geom
-        entry = self._index[geom.set_index(addr)].get(geom.tag(addr))
+        entry = self.index[(addr >> geom.offset_bits) & geom.set_mask].get(
+            addr >> geom.tag_shift
+        )
         if entry is None:
             return None
         line = entry[1]
-        if not line.is_valid:
+        if line.state is _INVALID:
             # Invalidated in place (snoop/drain race); treated as a miss
             # exactly like the way scan did.
             return None
         if touch:
-            self._clock += 1
-            line.lru_stamp = self._clock
+            self.clock += 1
+            line.lru_stamp = self.clock
         return line
 
     def victim_for(self, addr: int) -> Tuple[int, Optional[CacheLine], Optional[int]]:
@@ -125,10 +139,10 @@ class CacheArray:
         when the chosen way is empty/invalid.  Invalid ways are used
         first; otherwise the least-recently-used way is evicted.
         """
-        set_index = self.geom.set_index(addr)
-        ways = self._sets[set_index]
+        set_index, _tag = self._slot(addr)
+        ways = self.sets[set_index]
         for way, line in enumerate(ways):
-            if line is None or not line.is_valid:
+            if line is None or line.state is _INVALID:
                 return way, None, None
         way = min(range(len(ways)), key=lambda w: ways[w].lru_stamp)
         victim = ways[way]
@@ -141,39 +155,35 @@ class CacheArray:
             raise ConfigError(
                 f"fill of {len(data)} words into {self.geom.line_words}-word line"
             )
-        assert self.lookup(addr) is None, (
+        set_index, tag = self._slot(addr)
+        index = self.index[set_index]
+        resident = index.get(tag)
+        assert resident is None or resident[1].state is _INVALID, (
             f"line 0x{self.geom.line_base(addr):08x} installed while "
             "already resident (controller bug)"
         )
-        self._clock += 1
-        line = CacheLine(
-            tag=self.geom.tag(addr),
-            state=state,
-            data=list(data),
-            protocol=protocol,
-            lru_stamp=self._clock,
-        )
-        set_index = self.geom.set_index(addr)
-        previous = self._sets[set_index][way]
+        self.clock += 1
+        line = CacheLine(tag, state, list(data), protocol, self.clock)
+        previous = self.sets[set_index][way]
         if previous is not None:
             # An invalid line may still occupy the way; drop its index
             # entry so the dict never outlives the storage.
-            entry = self._index[set_index].get(previous.tag)
+            entry = index.get(previous.tag)
             if entry is not None and entry[0] == way:
-                del self._index[set_index][previous.tag]
-        self._sets[set_index][way] = line
-        self._index[set_index][line.tag] = (way, line)
+                del index[previous.tag]
+        self.sets[set_index][way] = line
+        index[tag] = (way, line)
         return line
 
     def remove(self, addr: int) -> Optional[CacheLine]:
         """Invalidate and detach the line for ``addr`` (returns it)."""
-        set_index = self.geom.set_index(addr)
-        entry = self._index[set_index].pop(self.geom.tag(addr), None)
+        set_index, tag = self._slot(addr)
+        entry = self.index[set_index].pop(tag, None)
         if entry is None:
             return None
         way, line = entry
-        self._sets[set_index][way] = None
-        if not line.is_valid:
+        self.sets[set_index][way] = None
+        if line.state is _INVALID:
             # Already invalidated in place; the slot is freed but there
             # is no live line to hand back (matches the way-scan miss).
             return None
@@ -187,10 +197,9 @@ class CacheArray:
         seeing it until the write-back commits) and then release the
         way; this clears both the storage slot and the tag index.
         """
-        set_index = self.geom.set_index(addr)
-        self._sets[set_index][way] = None
-        index = self._index[set_index]
-        tag = self.geom.tag(addr)
+        set_index, tag = self._slot(addr)
+        self.sets[set_index][way] = None
+        index = self.index[set_index]
         entry = index.get(tag)
         if entry is not None and entry[0] == way:
             del index[tag]
@@ -198,7 +207,7 @@ class CacheArray:
     # -- inspection --------------------------------------------------------------
     def valid_lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield ``(line_base_addr, line)`` for every valid line."""
-        for set_index, ways in enumerate(self._sets):
+        for set_index, ways in enumerate(self.sets):
             for line in ways:
                 if line is not None and line.is_valid:
                     yield self.geom.rebuild_addr(line.tag, set_index), line

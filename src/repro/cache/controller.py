@@ -14,6 +14,13 @@ a coherence-protocol FSM and the shared bus:
 * **drain side** — :meth:`drain_line` performs the snoop push at DRAIN
   bus priority.
 
+The timing-free decisions — snoop-hit classification, the write-miss
+plan, the update broadcast's final state and the drain rule — are
+module-level functions.  This controller applies them through bus
+transactions, trace emits and TAG-CAM listeners; the batch engine
+(:mod:`repro.engines.batch`) applies the same functions directly, so
+the two engines share one coherence core.
+
 A single FIFO :class:`~repro.sim.Mutex` (the *port lock*) serialises
 processor-side operations and drains.  This models the single tag/data
 port of the real controllers and — deliberately — reproduces the
@@ -25,18 +32,27 @@ described in Section 3.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from enum import Enum
+from typing import Callable, Generator, List, Optional, Tuple
 
 from ..bus.asb import AsbBus
 from ..bus.types import BusOp, Priority, Transaction
-from ..errors import ProtocolError
+from ..errors import IntegrationError, ProtocolError
 from ..mem.map import MemoryMap, WritePolicy
 from ..sim import Mutex, Simulator, Stats, Tracer
 from .array import CacheArray, CacheGeometry
 from .line import CacheLine, State
 from .protocols.base import CoherenceProtocol, SnoopOp, WriteAction
 
-__all__ = ["CacheController", "SnoopDecision"]
+__all__ = [
+    "CacheController",
+    "SnoopDecision",
+    "WriteMiss",
+    "classify_snoop_hit",
+    "write_miss_plan",
+    "update_state",
+    "drain_writes_back",
+]
 
 
 class SnoopDecision:
@@ -63,6 +79,74 @@ class SnoopDecision:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SnoopDecision {self.kind}>"
+
+
+class WriteMiss(Enum):
+    """The three ways a processor write miss can proceed."""
+
+    WRITE_THROUGH = "write-through"  # no M state: the word goes out, no fill
+    FILL_THEN_HIT = "fill-then-hit"  # update protocols have no RWITM
+    RWITM = "rwitm"                  # read-with-intent-to-modify, then M
+
+
+# ----------------------------------------------------------------------
+# timing-free decisions, shared by every engine
+# ----------------------------------------------------------------------
+def classify_snoop_hit(
+    line: CacheLine,
+    op: SnoopOp,
+    offset: int,
+    data: Optional[int],
+    allow_supply: bool,
+    who: str,
+) -> Tuple[str, State, bool]:
+    """Decide how a snoop that hits ``line`` resolves.
+
+    In order: an UPDATE broadcast patches its word (``data`` at
+    ``offset``) into the copy; a dirty hit DRAINs (the master sees
+    ARTRY and the line enters the next state only after the push); a
+    supplier SUPPLYs cache-to-cache, which the wrapper policy must
+    allow; otherwise the snoop is OK.  Returns ``(kind, next_state,
+    shared)``: a SnoopDecision kind, the state the caller commits, and
+    whether the reply drives the shared signal.
+    """
+    outcome = line.protocol.lookup_snoop(line.state, op)
+    if outcome.apply_update and data is not None:
+        line.data[offset] = data
+    if outcome.drain:
+        return SnoopDecision.DRAIN, outcome.next_state, False
+    if outcome.supply:
+        if not allow_supply:
+            raise IntegrationError(
+                f"{who}: protocol attempted cache-to-cache supply but the "
+                "wrapper policy forbids it (reduction bug)"
+            )
+        return SnoopDecision.SUPPLY, outcome.next_state, True
+    return SnoopDecision.OK, outcome.next_state, outcome.assert_shared
+
+
+def write_miss_plan(protocol: CoherenceProtocol) -> WriteMiss:
+    """How a write miss to a line governed by ``protocol`` proceeds."""
+    if State.MODIFIED not in protocol.states:
+        return WriteMiss.WRITE_THROUGH
+    if protocol.update_based:
+        return WriteMiss.FILL_THEN_HIT
+    return WriteMiss.RWITM
+
+
+def update_state(shared: bool) -> State:
+    """State after a word broadcast: Sm (OWNED) while sharers remain,
+    M when the update found no listener."""
+    return State.OWNED if shared else State.MODIFIED
+
+
+def drain_writes_back(line: CacheLine) -> bool:
+    """Whether a snoop push writes ``line`` back before its next state.
+
+    A dirty line is pushed to memory first; a line cleaned since the
+    snoop takes the bare state change.
+    """
+    return line.is_dirty
 
 
 class CacheController:
@@ -244,32 +328,29 @@ class CacheController:
     # ------------------------------------------------------------------
     # snoop side (called with the bus held; synchronous)
     # ------------------------------------------------------------------
-    def snoop_decision(self, op: SnoopOp, addr: int, data=None) -> SnoopDecision:
+    def snoop_decision(
+        self, op: SnoopOp, addr: int, data=None, allow_supply: bool = True
+    ) -> SnoopDecision:
         """Evaluate and (unless a drain is needed) commit a snooped op.
 
         ``data`` carries the broadcast word for UPDATE operations
-        (update-based protocols patch their copy in place).
+        (update-based protocols patch their copy in place);
+        ``allow_supply`` is the wrapper policy's cache-to-cache permit.
         """
         base = self.geom.line_base(addr)
         line = self.array.lookup(base)
         if line is None:
             return SnoopDecision(SnoopDecision.MISS)
-        outcome = line.protocol.snoop(line.state, op)
-        if outcome.apply_update and data is not None:
-            line.data[self.geom.word_offset(addr)] = data
-        if outcome.drain:
+        offset = 0 if data is None else self.geom.word_offset(addr)
+        kind, next_state, shared = classify_snoop_hit(
+            line, op, offset, data, allow_supply, self.name
+        )
+        if kind == SnoopDecision.DRAIN:
             # Commit is deferred to drain_line(); the master sees ARTRY.
-            return SnoopDecision(SnoopDecision.DRAIN, drain_next_state=outcome.next_state)
-        if outcome.supply:
-            data = list(line.data)
-            self._apply_snoop_state(base, line, outcome.next_state)
-            return SnoopDecision(
-                SnoopDecision.SUPPLY,
-                assert_shared=outcome.assert_shared,
-                supply_data=data,
-            )
-        self._apply_snoop_state(base, line, outcome.next_state)
-        return SnoopDecision(SnoopDecision.OK, assert_shared=outcome.assert_shared)
+            return SnoopDecision(kind, drain_next_state=next_state)
+        supply_data = list(line.data) if kind == SnoopDecision.SUPPLY else None
+        self._apply_snoop_state(base, line, next_state)
+        return SnoopDecision(kind, assert_shared=shared, supply_data=supply_data)
 
     # ------------------------------------------------------------------
     # drain side (scheduled by the wrapper or the snoop-logic ISR)
@@ -306,7 +387,7 @@ class CacheController:
         line = self.array.lookup(base)
         if line is None:
             return
-        if not line.is_dirty:
+        if not drain_writes_back(line):
             self._apply_snoop_state(base, line, next_state)
             return
 
@@ -372,15 +453,13 @@ class CacheController:
             yield from self._write_hit(addr, line, offset, value)
             return
         self.stats.bump(self._stat_write_misses)
-        protocol = self._protocol_for(region)
-        if State.MODIFIED not in protocol.states:
-            # Write-through, no-allocate: the word goes straight out.
+        plan = write_miss_plan(self._protocol_for(region))
+        if plan is WriteMiss.WRITE_THROUGH:
             yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
             self.stats.bump(f"{self.name}.write_throughs")
             return
-        if getattr(protocol, "update_based", False):
-            # Update protocols have no RWITM: fill shared, then write
-            # (which broadcasts when sharers exist).
+        if plan is WriteMiss.FILL_THEN_HIT:
+            # Fill shared, then write (which broadcasts when sharers exist).
             line = yield from self._fill(addr, region, exclusive=False)
             yield from self._write_hit(addr, line, offset, value)
             return
@@ -391,7 +470,7 @@ class CacheController:
 
     def _write_hit(self, addr: int, line: CacheLine, offset: int, value: int) -> Generator:
         self.stats.bump(self._stat_hits)
-        new_state, action = line.protocol.write_hit(line.state)
+        new_state, action = line.protocol.lookup_write_hit(line.state)
         if action is WriteAction.NONE:
             base = self.geom.line_base(addr)
             if line.state is not new_state:
@@ -444,7 +523,7 @@ class CacheController:
         def commit(result):
             if line.is_valid:
                 line.data[offset] = value
-                final = State.OWNED if result.shared else State.MODIFIED
+                final = update_state(result.shared)
                 if line.state is not final:
                     self._set_state(base, line, final, "update")
                 done.append(True)
@@ -471,7 +550,7 @@ class CacheController:
 
         def commit(result):
             shared = self.shared_filter(result.shared)
-            state = protocol.fill_state(exclusive, shared)
+            state = protocol.lookup_fill_state(exclusive, shared)
             line = self.array.install(base, way, result.data, state, protocol)
             installed.append(line)
             self._notify_install(base)

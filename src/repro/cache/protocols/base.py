@@ -12,6 +12,12 @@ line state (which makes the FSMs directly unit- and property-testable):
    possibly demanding a drain first, supplying data cache-to-cache, or
    asserting the shared signal.)
 
+Because the answers are pure, each protocol instance memoises them:
+every engine asks through :meth:`~CoherenceProtocol.lookup_snoop`,
+:meth:`~CoherenceProtocol.lookup_write_hit` and
+:meth:`~CoherenceProtocol.lookup_fill_state`, so each distinct
+transition is computed once.
+
 The wrapper of Section 2 never edits these machines; it manipulates their
 *inputs* (converting snooped reads to writes, forcing the shared signal),
 which is exactly how the paper removes states from the integrated system.
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ...errors import ProtocolError
 from ..line import State
@@ -87,6 +93,19 @@ class CoherenceProtocol:
     uses_shared_signal: bool = False
     #: whether dirty lines may be supplied cache-to-cache
     supports_supply: bool = False
+    #: whether a write miss fills shared and then broadcasts (no RWITM)
+    update_based: bool = False
+
+    def __init__(self) -> None:
+        # Memo tables behind the lookup_* methods.  Only answers are
+        # stored, so a foreign state raises ProtocolError on every
+        # lookup.  The batch engine's inlined hit path reads
+        # write_hit_table directly.
+        self.snoop_table: Dict[SnoopOp, Dict[State, SnoopOutcome]] = {
+            op: {} for op in SnoopOp
+        }
+        self.write_hit_table: Dict[State, Tuple[State, WriteAction]] = {}
+        self.fill_table: Dict[Tuple[bool, bool], State] = {}
 
     # -- processor side ----------------------------------------------------
     def fill_state(self, exclusive: bool, shared: bool) -> State:
@@ -111,6 +130,30 @@ class CoherenceProtocol:
     def snoop(self, state: State, op: SnoopOp) -> SnoopOutcome:
         """Reaction of a line in ``state`` to a snooped ``op``."""
         raise NotImplementedError
+
+    # -- memoised lookups -----------------------------------------------------
+    def lookup_snoop(self, state: State, op: SnoopOp) -> SnoopOutcome:
+        """:meth:`snoop`, computed once per ``(state, op)``."""
+        row = self.snoop_table[op]
+        outcome = row.get(state)
+        if outcome is None:
+            outcome = row[state] = self.snoop(state, op)
+        return outcome
+
+    def lookup_write_hit(self, state: State) -> Tuple[State, WriteAction]:
+        """:meth:`write_hit`, computed once per state."""
+        result = self.write_hit_table.get(state)
+        if result is None:
+            result = self.write_hit_table[state] = self.write_hit(state)
+        return result
+
+    def lookup_fill_state(self, exclusive: bool, shared: bool) -> State:
+        """:meth:`fill_state`, computed once per input pair."""
+        key = (exclusive, shared)
+        state = self.fill_table.get(key)
+        if state is None:
+            state = self.fill_table[key] = self.fill_state(exclusive, shared)
+        return state
 
     # -- helpers -----------------------------------------------------------------
     def _check(self, state: State) -> None:

@@ -75,11 +75,11 @@ SCRATCH_SIZE = 0x0000_1000
 #: the execution-engine vocabulary.  The *model* (this module) owns the
 #: names so configs stay valid without importing :mod:`repro.engines`;
 #: the engines package asserts its registry matches this tuple exactly.
-ENGINE_NAMES = ("exact", "batch", "compiled")
+ENGINE_NAMES = ("exact", "batch")
 #: engines that execute through the event kernel (a :class:`Platform`
 #: can be instantiated for these; "batch" replays traces through a
 #: functional model and never builds a platform)
-KERNEL_ENGINES = ("exact", "compiled")
+KERNEL_ENGINES = ("exact",)
 #: the coherence-fabric vocabulary; the model owns the names (as with
 #: ``ENGINE_NAMES``) and the :mod:`repro.fabric` registry must cover
 #: exactly this tuple — the ``fabric-contract`` lint rule checks it
@@ -130,9 +130,8 @@ class PlatformConfig:
     watchdog: Optional[WatchdogConfig] = None
     #: fault injectors to arm (empty = pristine platform)
     faults: Tuple[FaultSpec, ...] = ()
-    #: execution engine: "exact" (event kernel, golden-trace identical),
-    #: "batch" (trace-driven functional model, statistics only) or
-    #: "compiled" (the exact kernel, native build when available)
+    #: execution engine: "exact" (event kernel, golden-trace identical)
+    #: or "batch" (trace-driven functional model, statistics only)
     engine: str = "exact"
     #: coherence fabric: "atomic" (the paper-faithful snoopy ASB, the
     #: default), "split" (split-transaction pipelined bus) or

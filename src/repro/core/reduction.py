@@ -42,11 +42,34 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
+from ..bus.types import BusOp
 from ..cache.line import State
+from ..cache.protocols.base import SnoopOp
 from ..errors import IntegrationError
 
 __all__ = ["SharedMode", "WrapperPolicy", "ReductionResult", "reduce_protocols",
            "PROTOCOL_STATES", "system_states"]
+
+
+#: how a snooping cache controller sees each bus operation
+_BUS_TO_SNOOP = {
+    BusOp.READ: SnoopOp.READ,
+    BusOp.READ_LINE: SnoopOp.READ,
+    BusOp.READ_LINE_EXCL: SnoopOp.READ_EXCL,
+    BusOp.WRITE: SnoopOp.WRITE,
+    BusOp.WRITE_LINE: SnoopOp.WRITE,
+    BusOp.SWAP: SnoopOp.WRITE,
+    BusOp.INVALIDATE: SnoopOp.INVALIDATE,
+    BusOp.UPDATE: SnoopOp.UPDATE,
+}
+#: the same view behind a read-to-write converting wrapper
+_BUS_TO_SNOOP_CONVERTED = {
+    bus_op: (
+        SnoopOp.WRITE
+        if snoop_op in (SnoopOp.READ, SnoopOp.READ_EXCL) else snoop_op
+    )
+    for bus_op, snoop_op in _BUS_TO_SNOOP.items()
+}
 
 
 class SharedMode(Enum):
@@ -55,6 +78,12 @@ class SharedMode(Enum):
     NATIVE = "native"    # pass the actual bus shared signal through
     ALWAYS = "always"    # force asserted: read misses allocate in S
     NEVER = "never"      # force deasserted: the S state is unreachable
+
+
+# Reading an Enum member off its class goes through the metaclass's
+# attribute hook on CPython 3.11 (~100 ns); filter_shared runs on every
+# fill, so it compares against module aliases instead.
+_ALWAYS, _NEVER = SharedMode.ALWAYS, SharedMode.NEVER
 
 
 @dataclass(frozen=True)
@@ -74,6 +103,27 @@ class WrapperPolicy:
     convert_read_to_write: bool = False
     shared_mode: SharedMode = SharedMode.NATIVE
     allow_supply: bool = True
+
+    def snoop_op(self, bus_op: BusOp) -> SnoopOp:
+        """The operation the native controller is shown for ``bus_op``.
+
+        Fig 1: with conversion on, a snooped read (RWITM included) is
+        presented as a write, so the FSM invalidates instead of
+        downgrading to S/O, and a dirty hit drains to memory instead of
+        intervening.  The memory controller still sees the true op.
+        """
+        if self.convert_read_to_write:
+            return _BUS_TO_SNOOP_CONVERTED[bus_op]
+        return _BUS_TO_SNOOP[bus_op]
+
+    def filter_shared(self, actual: bool) -> bool:
+        """The shared signal the processor samples on its own fills."""
+        mode = self.shared_mode
+        if mode is _ALWAYS:
+            return True
+        if mode is _NEVER:
+            return False
+        return actual
 
     @property
     def is_identity(self) -> bool:

@@ -7,10 +7,11 @@ handled; the native cache FSMs are untouched.  Three duties:
 1. **Snoop-path conversion** — per its :class:`WrapperPolicy`, present
    snooped read transactions to the native controller as writes (the
    Intel486 realisation asserts the INV pin on read snoop cycles), so
-   the controller invalidates instead of downgrading to S/O.
+   the controller invalidates instead of downgrading to S/O
+   (:meth:`WrapperPolicy.snoop_op`).
 2. **Shared-signal forcing** — on the processor's own fills, force the
    sampled shared signal per policy (NEVER kills I->S, ALWAYS kills
-   I->E).
+   I->E; :meth:`WrapperPolicy.filter_shared`).
 3. **Snoop-push scheduling** — when the native FSM demands a drain
    (dirty snoop hit), answer ARTRY and queue the push.  The push runs at
    DRAIN bus priority but must wait for the cache port, which the
@@ -25,26 +26,15 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..bus.asb import AsbBus, Snooper
-from ..bus.types import BusOp, SnoopAction, SnoopReply, Transaction
+from ..bus.types import SnoopAction, SnoopReply, Transaction
 from ..cache.controller import CacheController, SnoopDecision
 from ..cache.line import State
 from ..cache.protocols.base import SnoopOp
 from ..errors import IntegrationError
 from ..sim import Event, Simulator
-from .reduction import SharedMode, WrapperPolicy
+from .reduction import WrapperPolicy
 
 __all__ = ["Wrapper"]
-
-_BUS_TO_SNOOP = {
-    BusOp.READ: SnoopOp.READ,
-    BusOp.READ_LINE: SnoopOp.READ,
-    BusOp.READ_LINE_EXCL: SnoopOp.READ_EXCL,
-    BusOp.WRITE: SnoopOp.WRITE,
-    BusOp.WRITE_LINE: SnoopOp.WRITE,
-    BusOp.SWAP: SnoopOp.WRITE,
-    BusOp.INVALIDATE: SnoopOp.INVALIDATE,
-    BusOp.UPDATE: SnoopOp.UPDATE,
-}
 
 
 class Wrapper(Snooper):
@@ -67,7 +57,9 @@ class Wrapper(Snooper):
         self.policy = policy
         self.bus = bus
         self.master_name = controller.name
-        controller.shared_filter = self._shared_filter
+        # Read through self.policy at call time: callers may swap the
+        # policy after construction (identity-wrapper experiments).
+        controller.shared_filter = lambda actual: self.policy.filter_shared(actual)
         self._drain_queue: Deque[Tuple[int, State, Event]] = deque()
         self._drain_wakeup: Optional[Event] = None
         self._worker = sim.process(
@@ -75,28 +67,14 @@ class Wrapper(Snooper):
         )
         bus.attach_snooper(self)
 
-    # -- fill path ---------------------------------------------------------
-    def _shared_filter(self, actual: bool) -> bool:
-        if self.policy.shared_mode is SharedMode.ALWAYS:
-            return True
-        if self.policy.shared_mode is SharedMode.NEVER:
-            return False
-        return actual
-
     # -- snoop path -----------------------------------------------------------
     def snoop(self, txn: Transaction) -> SnoopReply:
-        op = _BUS_TO_SNOOP[txn.op]
-        if self.policy.convert_read_to_write and op in (
-            SnoopOp.READ,
-            SnoopOp.READ_EXCL,
-        ):
-            # Fig 1: the snooping cache is told this is a write; the
-            # memory controller still sees the true operation.  RWITM
-            # converts too — a policy that forbids cache-to-cache supply
-            # must see a dirty hit drain to memory, never intervene.
-            op = SnoopOp.WRITE
+        policy = self.policy
+        op = policy.snoop_op(txn.op)
         data = txn.data if op is SnoopOp.UPDATE else None
-        decision = self.controller.snoop_decision(op, txn.addr, data=data)
+        decision = self.controller.snoop_decision(
+            op, txn.addr, data=data, allow_supply=policy.allow_supply
+        )
         if decision.kind == SnoopDecision.MISS:
             return SnoopReply.OK
         if decision.kind == SnoopDecision.DRAIN:
@@ -105,11 +83,6 @@ class Wrapper(Snooper):
             self._kick_worker()
             return SnoopReply(SnoopAction.RETRY, completion=completion)
         if decision.kind == SnoopDecision.SUPPLY:
-            if not self.policy.allow_supply:
-                raise IntegrationError(
-                    f"{self.master_name}: protocol attempted cache-to-cache "
-                    "supply but the wrapper policy forbids it (reduction bug)"
-                )
             return SnoopReply(SnoopAction.SUPPLY, supply_data=decision.supply_data)
         if decision.assert_shared:
             return SnoopReply(SnoopAction.SHARED)

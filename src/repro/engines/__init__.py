@@ -2,13 +2,13 @@
 
 The coherence *model* — protocol tables, controllers, bus semantics —
 lives in ``repro.cache`` / ``repro.bus`` / ``repro.core``.  This
-package holds the *engines* that execute it: ``exact`` (the event
-kernel, golden-trace identical), ``batch`` (trace-driven functional
-replay, statistics only) and ``compiled`` (the exact kernel on native
-builds of the hot modules when available).  See ``docs/engines.md``.
+package holds the two *engines* that drive it: ``exact`` (the event
+kernel, golden-trace identical) and ``batch`` (trace-driven functional
+replay over the same coherence core, statistics only).  See
+``docs/engines.md``.
 
-Select an engine with ``PlatformConfig(engine=...)`` / ``--engine`` on
-the CLI and run a workload through it::
+Select an engine with ``PlatformConfig(engine=...)`` (or ``repro serve
+--engine``) and run a workload through it::
 
     from repro.engines import get_engine
     result = get_engine(config.engine).run(config, accesses)
@@ -21,15 +21,9 @@ from __future__ import annotations
 
 from ..core.platform import ENGINE_NAMES
 from .interfaces import EngineCapabilities, EngineRunResult, ISimEngine
-from .registry import (
-    available_engines,
-    engine_fingerprint,
-    engine_names,
-    get_engine,
-)
+from .registry import engine_fingerprint, engine_names, get_engine
 from .exact import ExactEngine
 from .batch import BatchEngine
-from .compiled import CompiledEngine, kernel_is_native, native_modules
 from .workloads import (
     reference_config,
     reference_workload,
@@ -43,13 +37,9 @@ __all__ = [
     "EngineRunResult",
     "ExactEngine",
     "BatchEngine",
-    "CompiledEngine",
     "get_engine",
     "engine_names",
-    "available_engines",
     "engine_fingerprint",
-    "kernel_is_native",
-    "native_modules",
     "serialize_traces",
     "serialize_workload",
     "reference_config",

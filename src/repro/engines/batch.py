@@ -1,141 +1,97 @@
 """The batch engine: trace-driven functional replay, statistics only.
 
-Executes the *same coherence model* as the event kernel — the protocol
-FSM tables, the wrapper conversions of the reduction algebra, the bus
-snoop-window/ARTRY/drain semantics, LRU victim selection — but as a
-direct functional evaluation with no event kernel at all: no
-generators, no time heap, no arbitration, no tracing.  The cost per
-access drops from ~30 fired kernel events to a handful of dict
-operations, which is where the order-of-magnitude speedup comes from
-(see ``docs/engines.md`` for the full argument and its limits).
-
-Ingestion is vectorised over numpy when it is importable: address
-decomposition (set index / tag / word offset / line base) and region
-classification (cacheable / write-through) for the whole trace are
-computed as whole-array operations before the sequential replay loop
-runs over plain machine integers.  The replay loop itself is
-inherently sequential — every access's outcome depends on the cache
-and coherence state left by the previous one — so it cannot be a
-vector operation; without numpy a scalar ingestion fallback keeps the
-engine available everywhere.
+A thin, timing-free replay over the model's own coherence core.  Every
+decision comes from the code the event kernel's controllers use: the
+protocols' memoised FSM lookups, the wrapper policy's snoop-op
+conversion and shared-signal forcing, the cache arrays with their LRU
+victim choice, and the snoop-hit / write-miss / update / drain
+decisions of :mod:`repro.cache.controller`.  What this engine drops is
+the execution machinery: no event kernel, no generators, no time heap,
+no arbitration, no tracing.  An access costs a handful of dict
+operations instead of ~30 kernel events, which is where the
+order-of-magnitude speedup comes from (``docs/engines.md``).
 
 Faithfulness contract (enforced by ``tests/engines/test_equivalence.py``):
 on any serialised trace, every counter except the timing-only
-``bus.busy*`` keys matches the exact engine, as does the final
-per-master line-state occupancy.  What the batch engine does *not*
-model: simulated time, concurrent drivers (port contention, upgrade
-races), devices, fault injection, and non-coherent masters.
+``bus.busy*`` keys matches the exact engine, as do the final per-master
+line-state occupancy and every per-access value.  What the batch engine
+does *not* model: simulated time, inter-master concurrency (port
+contention, upgrade races), devices, fault injection, and non-coherent
+masters.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..bus.types import BusOp
+from ..cache.array import CacheArray
+from ..cache.controller import (
+    SnoopDecision,
+    WriteMiss,
+    classify_snoop_hit,
+    drain_writes_back,
+    update_state,
+    write_miss_plan,
+)
 from ..cache.line import State
 from ..cache.protocols import make_protocol
-from ..cache.protocols.base import SnoopOp, WriteAction
+from ..cache.protocols.base import WriteAction
 from ..core.platform import PlatformConfig, build_memory_map
-from ..core.reduction import SharedMode, WrapperPolicy, reduce_protocols
-from ..core.wrapper import _BUS_TO_SNOOP
-from ..errors import ConfigError, IntegrationError, ProtocolError
+from ..core.reduction import WrapperPolicy, reduce_protocols
+from ..errors import ConfigError, ProtocolError
 from ..mem.map import WritePolicy
+from .exact import line_state_occupancy
 from .interfaces import EngineCapabilities, EngineRunResult, ISimEngine
 from .registry import register_engine
 
-try:  # numpy accelerates ingestion; the model itself is pure Python
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-__all__ = ["BatchEngine", "HAS_NUMPY"]
-
-HAS_NUMPY = _np is not None
+__all__ = ["BatchEngine"]
 
 _WORD_MASK = 0xFFFF_FFFF
-_DIRTY = (State.MODIFIED, State.OWNED)
-
+_OP_CODES = {"read": 0, "write": 1, "swap": 2}
 # Interned stat-key strings: the bus bumps run once per transaction, so
 # the "bus.op.<x>" concatenation is hoisted out of the hot loop.
 _OP_KEYS = {op: "bus.op." + op.value for op in BusOp}
-
-
-class _Line:
-    """One resident line: the functional mirror of CacheLine."""
-
-    __slots__ = ("tag", "state", "data", "protocol", "lru")
-
-    def __init__(self, tag, state, data, protocol, lru):
-        self.tag = tag
-        self.state = state
-        self.data = data
-        self.protocol = protocol
-        self.lru = lru
+# Reading an Enum member off its class goes through the metaclass's
+# attribute hook on CPython 3.11 (~100 ns); the replay paths use these
+# module aliases instead.
+_INVALID, _MODIFIED = State.INVALID, State.MODIFIED
+_READ, _WRITE, _SWAP = BusOp.READ, BusOp.WRITE, BusOp.SWAP
+_READ_LINE, _READ_LINE_EXCL = BusOp.READ_LINE, BusOp.READ_LINE_EXCL
+_WRITE_LINE, _INVALIDATE, _UPDATE = (
+    BusOp.WRITE_LINE, BusOp.INVALIDATE, BusOp.UPDATE,
+)
+_SILENT, _WRITE_THROUGH, _BROADCAST = (
+    WriteAction.NONE, WriteAction.WRITE_THROUGH, WriteAction.UPDATE,
+)
 
 
 class _Master:
-    """One master's cache: geometry, policy, and line storage."""
+    """One master's side of the model: cache array, FSMs, wrapper policy."""
 
     __slots__ = (
-        "name", "enabled", "protocol", "protocol_wt", "convert",
-        "shared_mode", "allow_supply", "offset_bits", "tag_shift",
-        "set_mask", "line_mask", "line_bytes", "line_words", "ways",
-        "n_sets", "sets", "index", "clock",
-        "key_hits", "key_read_misses", "key_write_misses", "key_fills",
-        "key_bus_master", "snoop_ops",
+        "name", "enabled", "protocol", "protocol_wt", "policy", "geom",
+        "array", "bus_key",
     )
 
-    def __init__(self, cfg, policy):
-        geom = cfg.geometry()
+    def __init__(self, cfg, policy: WrapperPolicy):
         self.name = cfg.name
         self.enabled = cfg.cache_enabled
         self.protocol = make_protocol(cfg.protocol)
         self.protocol_wt = (
             make_protocol(cfg.protocol_wt) if cfg.protocol_wt else None
         )
-        self.convert = policy.convert_read_to_write
-        self.shared_mode = policy.shared_mode
-        self.allow_supply = policy.allow_supply
-        self.offset_bits = geom._offset_bits
-        self.tag_shift = geom._offset_bits + geom._index_bits
-        self.set_mask = geom.n_sets - 1
-        self.line_mask = ~(geom.line_bytes - 1)
-        self.line_bytes = geom.line_bytes
-        self.line_words = geom.line_words
-        self.ways = geom.ways
-        self.n_sets = geom.n_sets
-        self.sets: List[List[Optional[_Line]]] = [
-            [None] * geom.ways for _ in range(geom.n_sets)
-        ]
-        self.index: List[Dict[int, Tuple[int, _Line]]] = [
-            {} for _ in range(geom.n_sets)
-        ]
-        self.clock = 0
-        self.key_hits = f"{cfg.name}.hits"
-        self.key_read_misses = f"{cfg.name}.read_misses"
-        self.key_write_misses = f"{cfg.name}.write_misses"
-        self.key_fills = f"{cfg.name}.fills"
-        self.key_bus_master = f"bus.master.{cfg.name}"
-        # This master's view of each bus op, with the wrapper's
-        # read-to-write conversion already applied.
-        self.snoop_ops = {}
-        for bus_op, snoop_op in _BUS_TO_SNOOP.items():
-            if self.convert and (
-                snoop_op is SnoopOp.READ or snoop_op is SnoopOp.READ_EXCL
-            ):
-                snoop_op = SnoopOp.WRITE
-            self.snoop_ops[bus_op] = snoop_op
+        self.policy = policy
+        self.geom = cfg.geometry()
+        self.array = CacheArray(self.geom)
+        self.bus_key = f"bus.master.{cfg.name}"
 
-    def probe(self, addr: int):
-        """(line, set index, tag) for ``addr``; line None on miss."""
-        set_i = (addr >> self.offset_bits) & self.set_mask
-        tag = addr >> self.tag_shift
-        entry = self.index[set_i].get(tag)
-        if entry is None:
-            return None, set_i, tag
-        return entry[1], set_i, tag
+    def protocol_for(self, wt: bool):
+        """The FSM a line of this region allocates under (i486 split)."""
+        if wt and self.protocol_wt is not None:
+            return self.protocol_wt
+        return self.protocol
 
 
 class _BatchModel:
@@ -155,7 +111,6 @@ class _BatchModel:
                 "non-coherent cores need the snoop-logic/interrupt "
                 "machinery of the event kernel"
             )
-        self.config = config
         self.map = build_memory_map(config)
         self.snooping = config.hardware_coherence
         if self.snooping:
@@ -170,72 +125,10 @@ class _BatchModel:
         ]
         self.mem: Dict[int, int] = {}
         self.stats: Dict[str, int] = {}
-        # Memoised FSM tables, keyed by protocol instance: snoop and
-        # write-hit outcomes are pure functions of (state, op)/(state),
-        # so each distinct transition is computed once per run.
-        self._snoop_cache: Dict[tuple, object] = {}
-        self._fill_cache: Dict[tuple, State] = {}
-        # Eager FSM tables (protocol id -> keyed outcome) so the replay
-        # and snoop loops resolve a transition with two dict probes.
-        self.write_hit_tables: Dict[int, Dict[State, tuple]] = {}
-        self.snoop_tables: Dict[int, Dict[tuple, object]] = {}
-        for m in self.masters:
-            for protocol in (m.protocol, m.protocol_wt):
-                if protocol is None or id(protocol) in self.write_hit_tables:
-                    continue
-                table: Dict[State, tuple] = {}
-                snoops: Dict[SnoopOp, Dict[State, object]] = {
-                    op: {} for op in SnoopOp
-                }
-                for state in protocol.states:
-                    try:
-                        table[state] = protocol.write_hit(state)
-                    except ProtocolError:
-                        # Unreachable for this protocol's lines; a hit
-                        # in such a state re-raises through the
-                        # fallback path, matching the exact engine.
-                        pass
-                    for op in SnoopOp:
-                        try:
-                            snoops[op][state] = protocol.snoop(state, op)
-                        except ProtocolError:
-                            pass
-                self.write_hit_tables[id(protocol)] = table
-                self.snoop_tables[id(protocol)] = snoops
 
-    # -- stats ----------------------------------------------------------
     def bump(self, key: str, amount: int = 1) -> None:
         stats = self.stats
         stats[key] = stats.get(key, 0) + amount
-
-    # -- memoised protocol tables ---------------------------------------
-    def _snoop_outcome(self, protocol, state, op):
-        table = self.snoop_tables.get(id(protocol))
-        if table is not None:
-            out = table[op].get(state)
-            if out is not None:
-                return out
-        key = (id(protocol), state, op)
-        out = self._snoop_cache.get(key)
-        if out is None:
-            out = protocol.snoop(state, op)
-            self._snoop_cache[key] = out
-        return out
-
-    def _write_hit_outcome(self, protocol, state):
-        outcome = self.write_hit_tables[id(protocol)].get(state)
-        if outcome is None:
-            # Let the protocol raise its own error for a foreign state.
-            outcome = protocol.write_hit(state)
-        return outcome
-
-    def _fill_state(self, protocol, exclusive, shared):
-        key = (id(protocol), exclusive, shared)
-        state = self._fill_cache.get(key)
-        if state is None:
-            state = protocol.fill_state(exclusive, shared)
-            self._fill_cache[key] = state
-        return state
 
     # -- the bus ---------------------------------------------------------
     def txn(self, op, addr, master, data=None, line_words=0):
@@ -245,11 +138,16 @@ class _BatchModel:
         data-phase payload — mirroring the exact bus's BusResult.
         """
         stats = self.stats
-        for key in ("bus.txns", _OP_KEYS[op], master.key_bus_master):
-            stats[key] = stats.get(key, 0) + 1
+        get = stats.get
+        stats["bus.txns"] = get("bus.txns", 0) + 1
+        key = _OP_KEYS[op]
+        stats[key] = get(key, 0) + 1
+        key = master.bus_key
+        stats[key] = get(key, 0) + 1
+        shared = False
         supplier_data = None
         if self.snooping:
-            snoop_tables = self.snoop_tables
+            update = data if op is _UPDATE else None
             while True:
                 shared = False
                 supplier_data = None
@@ -257,309 +155,207 @@ class _BatchModel:
                 for snooper in self.masters:
                     if snooper is master:
                         continue
-                    set_i = (addr >> snooper.offset_bits) & snooper.set_mask
-                    tag = addr >> snooper.tag_shift
-                    entry = snooper.index[set_i].get(tag)
+                    # CacheArray.lookup(addr), inlined: every snooper is
+                    # probed on every transaction.  Batch lines are never
+                    # left invalid in place, so a tag hit is a valid line.
+                    geom = snooper.geom
+                    entry = snooper.array.index[
+                        (addr >> geom.offset_bits) & geom.set_mask
+                    ].get(addr >> geom.tag_shift)
                     if entry is None:
                         continue
                     line = entry[1]
-                    snoop_op = snooper.snoop_ops[op]
-                    out = snoop_tables[id(line.protocol)][snoop_op].get(
-                        line.state
+                    policy = snooper.policy
+                    kind, next_state, asserted = classify_snoop_hit(
+                        line, policy.snoop_op(op),
+                        0 if update is None else geom.word_offset(addr),
+                        update, policy.allow_supply, snooper.name,
                     )
-                    if out is None:
-                        out = self._snoop_outcome(
-                            line.protocol, line.state, snoop_op
-                        )
-                    if out.apply_update and op is BusOp.UPDATE and data is not None:
-                        offset = (addr & (snooper.line_bytes - 1)) >> 2
-                        line.data[offset] = data
-                    if out.drain:
+                    if kind == SnoopDecision.DRAIN:
                         # ARTRY: commit deferred to the drain push.
-                        drains.append((snooper, out.next_state))
+                        drains.append((snooper, next_state))
                         continue
-                    if out.supply:
-                        if not snooper.allow_supply:
-                            raise IntegrationError(
-                                f"{snooper.name}: protocol attempted "
-                                "cache-to-cache supply but the wrapper "
-                                "policy forbids it (reduction bug)"
-                            )
+                    if kind == SnoopDecision.SUPPLY and supplier_data is None:
                         supplier_data = list(line.data)
-                        shared = True
-                        self._apply_snoop_state(snooper, line, set_i, tag, out.next_state)
-                        continue
-                    if out.assert_shared:
-                        shared = True
-                    self._apply_snoop_state(snooper, line, set_i, tag, out.next_state)
-                if drains:
-                    stats["bus.retries"] = stats.get("bus.retries", 0) + 1
-                    for snooper, next_state in drains:
-                        self._drain(snooper, addr, next_state)
-                    # The master re-arbitrates and the address phase
-                    # re-snoops everyone against the post-drain states.
-                    continue
-                break
-        else:
-            shared = False
+                    shared = shared or asserted
+                    self._commit_snoop(snooper, addr, line, next_state)
+                if not drains:
+                    break
+                stats["bus.retries"] = get("bus.retries", 0) + 1
+                for snooper, next_state in drains:
+                    self._drain(snooper, addr, next_state)
+                # The master re-arbitrates and the address phase
+                # re-snoops everyone against the post-drain states.
         if supplier_data is not None:
-            stats["bus.c2c_supplies"] = stats.get("bus.c2c_supplies", 0) + 1
+            stats["bus.c2c_supplies"] = get("bus.c2c_supplies", 0) + 1
             return shared, supplier_data
         return shared, self._data_phase(op, addr, data, line_words)
 
     def _data_phase(self, op, addr, data, line_words):
         mem = self.mem
-        if op is BusOp.READ:
+        if op is _READ:
             return mem.get(addr, 0)
-        if op is BusOp.WRITE:
+        if op is _WRITE:
             mem[addr] = data & _WORD_MASK
             return None
-        if op is BusOp.SWAP:
+        if op is _SWAP:
             old = mem.get(addr, 0)
             mem[addr] = data & _WORD_MASK
             return old
-        if op is BusOp.READ_LINE or op is BusOp.READ_LINE_EXCL:
-            return [mem.get(addr + 4 * i, 0) for i in range(line_words)]
-        if op is BusOp.WRITE_LINE:
+        if op is _READ_LINE or op is _READ_LINE_EXCL:
+            get = mem.get
+            return [get(a, 0) for a in range(addr, addr + 4 * line_words, 4)]
+        if op is _WRITE_LINE:
             for i, value in enumerate(data):
                 mem[addr + 4 * i] = value & _WORD_MASK
-            return None
         # INVALIDATE / UPDATE: address-only as far as memory is concerned.
         return None
 
-    def _apply_snoop_state(self, snooper, line, set_i, tag, next_state):
-        if next_state is State.INVALID:
-            way, _line = snooper.index[set_i].pop(tag)
-            snooper.sets[set_i][way] = None
+    @staticmethod
+    def _commit_snoop(snooper, addr, line, next_state):
+        if next_state is _INVALID:
+            snooper.array.remove(addr)
         else:
             line.state = next_state
 
     def _drain(self, snooper, addr, next_state):
         """Snoop push at DRAIN priority: write back, enter next_state."""
-        base = addr & snooper.line_mask
-        line, set_i, tag = snooper.probe(base)
+        base = snooper.geom.line_base(addr)
+        line = snooper.array.lookup(base)
         if line is None:
             return
-        if line.state not in _DIRTY:
-            self._apply_snoop_state(snooper, line, set_i, tag, next_state)
+        if not drain_writes_back(line):
+            self._commit_snoop(snooper, base, line, next_state)
             return
         self.txn(
-            BusOp.WRITE_LINE, base, snooper,
-            data=line.data, line_words=snooper.line_words,
+            _WRITE_LINE, base, snooper,
+            data=line.data, line_words=snooper.geom.line_words,
         )
-        self._apply_snoop_state(snooper, line, set_i, tag, next_state)
+        self._commit_snoop(snooper, base, line, next_state)
         self.bump(snooper.name + ".drains")
 
     # -- processor side ---------------------------------------------------
-    # The read/write *hit* fast paths are inlined into the replay loop
-    # in BatchEngine.run; the methods here carry the miss, uncached and
-    # non-trivial write-hit tails.
-    def uncached_read(self, m, addr):
-        _shared, value = self.txn(BusOp.READ, addr, m)
-        self.bump(m.name + ".uncached_reads")
-        return value
-
-    def uncached_write(self, m, addr, value):
-        self.txn(BusOp.WRITE, addr, m, data=value)
-        self.bump(m.name + ".uncached_writes")
-
-    def read_miss(self, m, addr, set_i, tag, offset, wt):
-        self.bump(m.key_read_misses)
-        line = self._fill(m, addr, set_i, tag, wt, exclusive=False)
-        return line.data[offset]
-
-    def write_miss(self, m, addr, set_i, tag, offset, value, wt):
-        self.bump(m.key_write_misses)
-        protocol = self._protocol_for(m, wt)
-        if State.MODIFIED not in protocol.states:
-            # Write-through, no-allocate: the word goes straight out.
-            self.txn(BusOp.WRITE, addr, m, data=value)
+    def miss(self, m, op, addr, value, offset, cacheable, wt):
+        """Every access but a cache hit (those are inlined in
+        BatchEngine.run): misses, uncached accesses and swaps."""
+        if op == 2:
+            if cacheable:
+                raise ProtocolError(
+                    f"swap at 0x{addr:08x}: atomic exchange is only defined "
+                    "for uncached addresses (lock variables are never cached)"
+                )
+            return self.txn(_SWAP, addr, m, data=value)[1]
+        if not cacheable:
+            if op == 0:
+                value = self.txn(_READ, addr, m)[1]
+                self.bump(m.name + ".uncached_reads")
+                return value
+            self.txn(_WRITE, addr, m, data=value)
+            self.bump(m.name + ".uncached_writes")
+            return None
+        if op == 0:
+            self.bump(m.name + ".read_misses")
+            return self._fill(m, addr, wt, exclusive=False).data[offset]
+        self.bump(m.name + ".write_misses")
+        plan = write_miss_plan(m.protocol_for(wt))
+        if plan is WriteMiss.WRITE_THROUGH:
+            self.txn(_WRITE, addr, m, data=value)
             self.bump(m.name + ".write_throughs")
-            return
-        if getattr(protocol, "update_based", False):
-            # Update protocols have no RWITM: fill shared, then write
-            # (which broadcasts when sharers exist); the write counts
-            # as a hit on the freshly filled line, like the exact
-            # controller's fill-then-write-hit sequence.
-            line = self._fill(m, addr, set_i, tag, wt, exclusive=False)
-            self.bump(m.key_hits)
-            new_state, action = self._write_hit_outcome(line.protocol, line.state)
-            if action is WriteAction.NONE:
-                line.state = new_state
-                line.data[offset] = value
-            else:
-                self.write_hit_action(m, addr, line, offset, value,
-                                      new_state, action)
-            return
-        line = self._fill(m, addr, set_i, tag, wt, exclusive=True)
-        line.data[offset] = value
-        if line.state is not State.MODIFIED:
-            line.state = State.MODIFIED
-
-    def swap(self, m, addr, value, cacheable):
-        if cacheable:
-            raise ProtocolError(
-                f"swap at 0x{addr:08x}: atomic exchange is only defined "
-                "for uncached addresses (lock variables are never cached)"
-            )
-        _shared, old = self.txn(BusOp.SWAP, addr, m, data=value)
-        return old
-
-    def write_hit_action(self, m, addr, line, offset, value, new_state, action):
-        """The non-silent write-hit tails (hit already counted)."""
-        if action is WriteAction.WRITE_THROUGH:
+        elif plan is WriteMiss.FILL_THEN_HIT:
+            # The write counts as a hit on the freshly filled line, like
+            # the exact controller's fill-then-write-hit sequence.
+            line = self._fill(m, addr, wt, exclusive=False)
+            self.bump(m.name + ".hits")
+            self.write_hit(m, addr, line, offset, value)
+        else:
+            line = self._fill(m, addr, wt, exclusive=True)
             line.data[offset] = value
-            self.txn(BusOp.WRITE, addr, m, data=value)
+            if line.state is not _MODIFIED:
+                line.state = _MODIFIED
+        return None
+
+    def write_hit(self, m, addr, line, offset, value):
+        """A write hit (already counted), with its bus action if any."""
+        new_state, action = line.protocol.lookup_write_hit(line.state)
+        if action is _SILENT:
+            line.state = new_state
+            line.data[offset] = value
+        elif action is _WRITE_THROUGH:
+            line.data[offset] = value
+            self.txn(_WRITE, addr, m, data=value)
             self.bump(m.name + ".write_throughs")
-            return
-        if action is WriteAction.UPDATE:
-            # Dragon broadcast: the raw (unfiltered) shared signal picks
-            # between Sm (sharers remain) and M (nobody listened).
-            shared, _data = self.txn(BusOp.UPDATE, addr, m, data=value)
+        elif action is _BROADCAST:
+            shared = self.txn(_UPDATE, addr, m, data=value)[0]
             line.data[offset] = value
-            line.state = State.OWNED if shared else State.MODIFIED
+            line.state = update_state(shared)
             self.bump(m.name + ".updates")
-            return
-        # UPGRADE: address-only invalidate.  Serialised replay has no
-        # competing RWITM in arbitration, so the race arm of the exact
-        # controller (upgrade_races) is unreachable by construction.
-        base = addr & m.line_mask
-        self.txn(BusOp.INVALIDATE, base, m)
-        line.state = new_state
-        line.data[offset] = value
-        self.bump(m.name + ".upgrades")
+        else:
+            # UPGRADE: address-only invalidate.  Serialised replay has
+            # no competing RWITM in arbitration, so the race arm of the
+            # exact controller (upgrade_races) is unreachable here.
+            self.txn(_INVALIDATE, m.geom.line_base(addr), m)
+            line.state = new_state
+            line.data[offset] = value
+            self.bump(m.name + ".upgrades")
 
-    def _fill(self, m, addr, set_i, tag, wt, exclusive):
-        protocol = self._protocol_for(m, wt)
-        base = addr & m.line_mask
-        ways = m.sets[set_i]
-        way = None
-        for w, resident in enumerate(ways):
-            if resident is None:
-                way = w
-                break
-        if way is None:
-            way = min(range(m.ways), key=lambda w: ways[w].lru)
-            victim = ways[way]
-            victim_base = (victim.tag << m.tag_shift) | (set_i << m.offset_bits)
-            if victim.state in _DIRTY:
+    def _fill(self, m, addr, wt, exclusive):
+        protocol = m.protocol_for(wt)
+        array = m.array
+        base = m.geom.line_base(addr)
+        way, victim, victim_addr = array.victim_for(base)
+        if victim is not None:
+            if victim.is_dirty:
                 self.txn(
-                    BusOp.WRITE_LINE, victim_base, m,
-                    data=victim.data, line_words=m.line_words,
+                    _WRITE_LINE, victim_addr, m,
+                    data=victim.data, line_words=m.geom.line_words,
                 )
                 self.bump(m.name + ".writebacks")
-            del m.index[set_i][victim.tag]
-            ways[way] = None
+            array.remove(victim_addr)
             self.bump(m.name + ".evictions")
-        op = BusOp.READ_LINE_EXCL if exclusive else BusOp.READ_LINE
-        shared, data = self.txn(op, base, m, line_words=m.line_words)
-        if m.shared_mode is SharedMode.ALWAYS:
-            shared = True
-        elif m.shared_mode is SharedMode.NEVER:
-            shared = False
-        state = self._fill_state(protocol, exclusive, shared)
-        m.clock += 1
-        line = _Line(tag, state, list(data), protocol, m.clock)
-        ways[way] = line
-        m.index[set_i][tag] = (way, line)
-        self.bump(m.key_fills)
+        op = _READ_LINE_EXCL if exclusive else _READ_LINE
+        shared, data = self.txn(op, base, m, line_words=m.geom.line_words)
+        state = protocol.lookup_fill_state(
+            exclusive, m.policy.filter_shared(shared)
+        )
+        line = array.install(base, way, data, state, protocol)
+        self.bump(m.name + ".fills")
         return line
 
-    def _protocol_for(self, m, wt):
-        if wt and m.protocol_wt is not None:
-            return m.protocol_wt
-        return m.protocol
 
-    # -- result extraction -------------------------------------------------
-    def line_state_occupancy(self) -> Dict[str, Dict[str, int]]:
-        occupancy = {}
-        for m in self.masters:
-            counts: Dict[str, int] = {}
-            for ways in m.sets:
-                for line in ways:
-                    if line is not None:
-                        key = line.state.value
-                        counts[key] = counts.get(key, 0) + 1
-            occupancy[m.name] = counts
-        return occupancy
+def _ingest(model: _BatchModel, accesses: Sequence) -> List[tuple]:
+    """Decompose the trace into per-access machine integers.
 
-
-def _ingest(model: _BatchModel, accesses: Sequence):
-    """Decompose the whole trace into per-access machine integers.
-
-    Returns parallel lists ``(procs, ops, addrs, values, set_is, tags,
-    offsets, cacheables, wts)`` — ``ops`` coded 0=read / 1=write /
-    2=swap.  Vectorised over numpy when available; the scalar fallback
-    computes the identical lists.
+    One row per access: ``(proc, op, addr, value, set index, tag, word
+    offset, cacheable, write-through)``, with ``op`` coded 0=read /
+    1=write / 2=swap and the address split in the issuing master's
+    cache geometry.
     """
-    n = len(accesses)
-    procs = [a.proc for a in accesses]
-    op_names = [a.op for a in accesses]
-    addrs = [a.addr for a in accesses]
-    values = [a.value for a in accesses]
-    op_code = {"read": 0, "write": 1, "swap": 2}
-    ops = [op_code[name] for name in op_names]
-    n_masters = len(model.masters)
-    if any(p < 0 or p >= n_masters for p in procs):
-        raise ConfigError("trace references a processor the config lacks")
-
-    regions = sorted(model.map, key=lambda r: r.base)
-    bases = [r.base for r in regions]
-    ends = [r.end for r in regions]
-    cacheable_by_region = [r.cacheable for r in regions]
-    wt_by_region = [
-        r.write_policy is WritePolicy.WRITE_THROUGH for r in regions
+    layouts = [
+        (m.geom.offset_bits, m.geom.set_mask, m.geom.tag_shift,
+         m.geom.line_bytes - 1, m.enabled)
+        for m in model.masters
     ]
-
-    if _np is not None and n:
-        a = _np.asarray(addrs, dtype=_np.int64)
-        p = _np.asarray(procs, dtype=_np.int64)
-        region_i = _np.searchsorted(_np.asarray(bases, dtype=_np.int64), a, side="right") - 1
-        in_range = (region_i >= 0) & (
-            a < _np.asarray(ends, dtype=_np.int64)[_np.clip(region_i, 0, None)]
-        )
-        if not bool(in_range.all()):
-            bad = int(a[~in_range][0])
-            raise ConfigError(f"trace access at unmapped address 0x{bad:08x}")
-        region_cacheable = _np.asarray(cacheable_by_region, dtype=bool)[region_i]
-        wts = _np.asarray(wt_by_region, dtype=bool)[region_i].tolist()
-        set_is = _np.zeros(n, dtype=_np.int64)
-        tags = _np.zeros(n, dtype=_np.int64)
-        offsets = _np.zeros(n, dtype=_np.int64)
-        cach = _np.zeros(n, dtype=bool)
-        for index, m in enumerate(model.masters):
-            mask = p == index
-            if not bool(mask.any()):
-                continue
-            am = a[mask]
-            set_is[mask] = (am >> m.offset_bits) & m.set_mask
-            tags[mask] = am >> m.tag_shift
-            offsets[mask] = (am & (m.line_bytes - 1)) >> 2
-            cach[mask] = region_cacheable[mask] if m.enabled else False
-        return (
-            procs, ops, addrs, values,
-            set_is.tolist(), tags.tolist(), offsets.tolist(),
-            cach.tolist(), wts,
-        )
-
-    # Scalar fallback: identical decomposition without numpy.
-    set_is = [0] * n
-    tags = [0] * n
-    offsets = [0] * n
-    cach = [False] * n
-    wts = [False] * n
-    for i in range(n):
-        addr = addrs[i]
-        r = bisect.bisect_right(bases, addr) - 1
-        if r < 0 or addr >= ends[r]:
-            raise ConfigError(f"trace access at unmapped address 0x{addr:08x}")
-        m = model.masters[procs[i]]
-        set_is[i] = (addr >> m.offset_bits) & m.set_mask
-        tags[i] = addr >> m.tag_shift
-        offsets[i] = (addr & (m.line_bytes - 1)) >> 2
-        cach[i] = m.enabled and cacheable_by_region[r]
-        wts[i] = wt_by_region[r]
-    return procs, ops, addrs, values, set_is, tags, offsets, cach, wts
+    rows = []
+    append = rows.append
+    lo = hi = 0  # bounds of the region the previous access fell in
+    for access in accesses:
+        proc, addr = access.proc, access.addr
+        if not 0 <= proc < len(layouts):
+            raise ConfigError("trace references a processor the config lacks")
+        if not lo <= addr < hi:
+            region = model.map.lookup(addr)
+            if region is None:
+                raise ConfigError(f"trace access at unmapped address 0x{addr:08x}")
+            lo, hi = region.base, region.end
+            cacheable = region.cacheable
+            wt = region.write_policy is WritePolicy.WRITE_THROUGH
+        offset_bits, set_mask, tag_shift, line_mask, enabled = layouts[proc]
+        append((
+            proc, _OP_CODES[access.op], addr, access.value,
+            (addr >> offset_bits) & set_mask, addr >> tag_shift,
+            (addr & line_mask) >> 2, enabled and cacheable, wt,
+        ))
+    return rows
 
 
 @register_engine
@@ -571,82 +367,53 @@ class BatchEngine(ISimEngine):
 
     def capabilities(self) -> EngineCapabilities:
         return EngineCapabilities(
-            trace_exact=False, timing=False, concurrent=False, native=False
+            trace_exact=False, timing=False, concurrent=False
         )
-
-    def available(self) -> bool:
-        return True
 
     def run(
         self, config: PlatformConfig, accesses: Sequence
     ) -> EngineRunResult:
         model = _BatchModel(config)
-        procs, ops, addrs, vals, set_is, tags, offsets, cach, wts = _ingest(
-            model, accesses
-        )
+        rows = _ingest(model, accesses)
         masters = model.masters
-        # Everything the hit fast path touches, bound to locals: the
-        # common case (a read or silent-write hit) resolves in a couple
-        # of dict probes with no method calls at all.
-        wh_tables = model.write_hit_tables
+        arrays = [m.array for m in masters]
         hit_counts = [0] * len(masters)
-        read_miss = model.read_miss
-        write_miss = model.write_miss
-        write_hit_action = model.write_hit_action
-        write_hit_outcome = model._write_hit_outcome
-        uncached_read = model.uncached_read
-        uncached_write = model.uncached_write
-        swap = model.swap
-        silent = WriteAction.NONE
+        miss = model.miss
+        write_hit = model.write_hit
         out: List[Optional[int]] = []
         append = out.append
         # Wall time is the engine's reported metric; the batch engine
         # models no simulated time at all (elapsed_ns stays 0).
         start = time.perf_counter()  # repro: lint-ok[determinism]
-        for p, op, addr, val, set_i, tag, offset, ca, wt in zip(
-            procs, ops, addrs, vals, set_is, tags, offsets, cach, wts
-        ):
-            m = masters[p]
+        for p, op, addr, val, set_i, tag, offset, ca, wt in rows:
             if ca and op != 2:
-                entry = m.index[set_i].get(tag)
+                # The hit fast path: what CacheArray.lookup(addr,
+                # touch=True) does, over the same tag index and LRU
+                # clock, with no call on a read or silent-write hit.
+                array = arrays[p]
+                entry = array.index[set_i].get(tag)
                 if entry is not None:
                     line = entry[1]
-                    clock = m.clock + 1
-                    m.clock = clock
-                    line.lru = clock
+                    clock = array.clock + 1
+                    array.clock = clock
+                    line.lru_stamp = clock
                     hit_counts[p] += 1
                     if op == 0:
                         append(line.data[offset])
                         continue
-                    outcome = wh_tables[id(line.protocol)].get(line.state)
-                    if outcome is None:
-                        outcome = write_hit_outcome(line.protocol, line.state)
-                    new_state, action = outcome
-                    if action is silent:
-                        line.state = new_state
+                    outcome = line.protocol.write_hit_table.get(line.state)
+                    if outcome is not None and outcome[1] is _SILENT:
+                        line.state = outcome[0]
                         line.data[offset] = val
                     else:
-                        write_hit_action(m, addr, line, offset, val,
-                                         new_state, action)
+                        write_hit(masters[p], addr, line, offset, val)
                     append(None)
                     continue
-                if op == 0:
-                    append(read_miss(m, addr, set_i, tag, offset, wt))
-                else:
-                    write_miss(m, addr, set_i, tag, offset, val, wt)
-                    append(None)
-                continue
-            if op == 2:
-                append(swap(m, addr, val, ca))
-            elif op == 0:
-                append(uncached_read(m, addr))
-            else:
-                uncached_write(m, addr, val)
-                append(None)
+            append(miss(masters[p], op, addr, val, offset, ca, wt))
         wall = time.perf_counter() - start  # repro: lint-ok[determinism]
         for m, hits in zip(masters, hit_counts):
             if hits:
-                model.bump(m.key_hits, hits)
+                model.bump(m.name + ".hits", hits)
         return EngineRunResult(
             engine=self.name,
             stats=dict(model.stats),
@@ -654,6 +421,8 @@ class BatchEngine(ISimEngine):
             events=0,
             elapsed_ns=0,
             wall_s=wall,
-            line_states=model.line_state_occupancy(),
+            line_states=line_state_occupancy(
+                (m.name, m.array) for m in masters
+            ),
             values=out,
         )

@@ -10,8 +10,9 @@ counters plus the final line-state occupancy.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
+from ..cache.array import CacheArray
 from ..core.platform import Platform, PlatformConfig
 from .interfaces import EngineCapabilities, EngineRunResult, ISimEngine
 from .registry import register_engine
@@ -19,15 +20,18 @@ from .registry import register_engine
 __all__ = ["ExactEngine", "line_state_occupancy"]
 
 
-def line_state_occupancy(platform: Platform) -> dict:
-    """Final per-master count of valid lines by state letter."""
+def line_state_occupancy(named_arrays: Iterable[Tuple[str, CacheArray]]) -> dict:
+    """Final per-master count of valid lines by state letter.
+
+    ``named_arrays`` yields ``(master name, cache array)`` pairs.
+    """
     occupancy = {}
-    for cfg, controller in zip(platform.config.cores, platform.controllers):
+    for name, array in named_arrays:
         counts: dict = {}
-        for _addr, line in controller.array.valid_lines():
+        for _addr, line in array.valid_lines():
             key = line.state.value
             counts[key] = counts.get(key, 0) + 1
-        occupancy[cfg.name] = counts
+        occupancy[name] = counts
     return occupancy
 
 
@@ -39,12 +43,7 @@ class ExactEngine(ISimEngine):
     version = 1
 
     def capabilities(self) -> EngineCapabilities:
-        return EngineCapabilities(
-            trace_exact=True, timing=True, concurrent=True, native=False
-        )
-
-    def available(self) -> bool:
-        return True
+        return EngineCapabilities(trace_exact=True, timing=True, concurrent=True)
 
     def run(
         self, config: PlatformConfig, accesses: Sequence
@@ -79,7 +78,10 @@ class ExactEngine(ISimEngine):
             events=platform.sim.events_fired,
             elapsed_ns=platform.sim.now,
             wall_s=wall,
-            line_states=line_state_occupancy(platform),
+            line_states=line_state_occupancy(
+                (cfg.name, controller.array)
+                for cfg, controller in zip(platform.config.cores, controllers)
+            ),
             values=values,
         )
 

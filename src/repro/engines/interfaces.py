@@ -4,7 +4,7 @@ The *model* — protocol tables, controllers, bus/arbiter semantics,
 memory map — lives in ``repro.cache`` / ``repro.bus`` / ``repro.core``
 and knows nothing about execution strategy.  An **engine** is an
 execution strategy for that model: it takes a platform configuration
-plus a serialised access trace and produces statistics.  Three engines
+plus a serialised access trace and produces statistics.  Two engines
 ship behind this contract (see ``docs/engines.md``):
 
 ``exact``
@@ -14,10 +14,6 @@ ship behind this contract (see ``docs/engines.md``):
     A trace-driven functional replay of the same coherence model with
     no event kernel at all — statistics only, one to two orders of
     magnitude faster.
-``compiled``
-    The exact kernel again, running on natively compiled builds of the
-    hot modules when such builds are importable (pure-Python fallback
-    otherwise).
 
 Model code must never import this package (the ``engine-contract``
 lint rule enforces the direction); engines import the model freely.
@@ -52,15 +48,11 @@ class EngineCapabilities:
         The engine resolves genuine inter-master concurrency (port
         contention, ARTRY back-off interleavings).  Engines without it
         execute the serialised access order as given.
-    ``native``
-        The hot modules currently backing this engine are compiled
-        extensions rather than pure Python.
     """
 
     trace_exact: bool
     timing: bool
     concurrent: bool
-    native: bool = False
 
 
 @dataclass
@@ -102,12 +94,7 @@ class ISimEngine(ABC):
 
     @abstractmethod
     def capabilities(self) -> EngineCapabilities:
-        """The promises this engine makes right now (native detection
-        happens at call time, so the answer can vary per interpreter)."""
-
-    @abstractmethod
-    def available(self) -> bool:
-        """Can this engine run in the current environment?"""
+        """The promises this engine makes."""
 
     @abstractmethod
     def run(
@@ -122,11 +109,7 @@ class ISimEngine(ABC):
 
     def fingerprint(self) -> Dict[str, object]:
         """Identity embedded in cache keys and bench baselines."""
-        return {
-            "name": self.name,
-            "version": self.version,
-            "native": self.capabilities().native,
-        }
+        return {"name": self.name, "version": self.version}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} v{self.version}>"

@@ -18,7 +18,6 @@ __all__ = [
     "register_engine",
     "get_engine",
     "engine_names",
-    "available_engines",
     "engine_fingerprint",
 ]
 
@@ -47,11 +46,6 @@ def get_engine(name: str) -> ISimEngine:
 def engine_names() -> List[str]:
     """Every registered engine name, in registration order."""
     return list(_REGISTRY)
-
-
-def available_engines() -> List[str]:
-    """Names of the engines that can run in this environment."""
-    return [name for name, engine in _REGISTRY.items() if engine.available()]
 
 
 def engine_fingerprint(name: str) -> Dict[str, object]:

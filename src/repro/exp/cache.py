@@ -72,10 +72,7 @@ def engine_tag(engine: Optional[str] = None) -> Dict[str, Any]:
     """The ``{"name", "version"}`` key fragment for ``engine``.
 
     Resolved through the engine registry so a bumped engine version
-    invalidates that engine's cached results and nobody else's.  The
-    ``native`` flag is deliberately excluded: a compiled build of the
-    same engine version is semantically identical, so its results are
-    interchangeable with the pure-Python ones.
+    invalidates that engine's cached results and nobody else's.
     """
     from ..engines import engine_fingerprint  # lazy: avoids an import cycle
 

@@ -11,12 +11,12 @@ performance trajectory, and the CI ``perf-smoke`` job fails on
 regressions against the committed baseline.
 
 Result documents are **schema 2**: tagged with the execution engine
-(name, version, native build or not) and the Python implementation.
-Perf numbers are only comparable like-for-like — a pure-Python
-baseline checked against a native-build run, or an exact baseline
-against a batch run, would "regress" or "improve" meaninglessly — so
-:func:`baseline_mismatch` refuses cross-engine and cross-implementation
-comparisons, and the check paths exit with status 2 on them.
+(name and version) and the Python implementation.  Perf numbers are
+only comparable like-for-like — a CPython baseline checked against a
+PyPy run, or an exact baseline against a batch run, would "regress" or
+"improve" meaninglessly — so :func:`baseline_mismatch` refuses
+cross-engine and cross-implementation comparisons, and the check paths
+exit with status 2 on them.
 
 The functions here are import-safe for both the ``benchmarks/`` script
 and the ``repro bench hotpath`` CLI subcommand; they depend only on the
@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional
 from ..cache.array import CacheArray, CacheGeometry
 from ..cache.line import State
 from ..cache.protocols import make_protocol
-from ..errors import ConfigError
 from ..sim import Simulator, Tracer
 
 __all__ = [
@@ -216,25 +215,15 @@ def _engine_metrics(n_accesses: int, repeats: int) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
-def run_suite(
-    quick: bool = False, repeats: int = 3, engine: str = "exact"
-) -> Dict[str, Any]:
+def run_suite(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
     """Run every hot-path benchmark; returns the result document.
 
-    ``engine`` tags the document with the kernel engine the suite ran
-    under (``exact``, or ``compiled`` when exercising a native build);
-    the kernel/array/tracer/e2e metrics execute the event kernel, so
-    the statistics-only ``batch`` engine cannot be the tag — its
-    throughput is reported by the ``engine_batch_*`` metrics instead.
+    The kernel/array/tracer/e2e metrics execute the event kernel, so
+    the document is tagged with the ``exact`` engine; the batch
+    engine's throughput is reported by the ``engine_batch_*`` metrics.
     """
-    from ..core.platform import KERNEL_ENGINES
     from ..engines import engine_fingerprint
 
-    if engine not in KERNEL_ENGINES:
-        raise ConfigError(
-            f"hotpath suite runs the event kernel; engine {engine!r} "
-            f"cannot tag it (choose from {list(KERNEL_ENGINES)})"
-        )
     scale = 1 if quick else 5
     n_kernel = 40_000 * scale
     n_array = 80_000 * scale
@@ -259,7 +248,7 @@ def run_suite(
         "quick": bool(quick),
         "python": sys.version.split()[0],
         "impl": _platform.python_implementation(),
-        "engine": engine_fingerprint(engine),
+        "engine": engine_fingerprint("exact"),
         "params": {
             "kernel_events": n_kernel,
             "array_lookups": n_array,
@@ -290,13 +279,10 @@ def speedups(current: Dict[str, Any], baseline: Dict[str, Any]) -> Dict[str, flo
 
 def render_comparison(current: Dict[str, Any], baseline: Optional[Dict[str, Any]]) -> str:
     """Human-readable table of the run, against a baseline when given."""
-    engine = current.get("engine") or {}
-    tag = engine.get("name", "exact") + (
-        " native" if engine.get("native") else ""
-    )
+    engine = (current.get("engine") or {}).get("name", "exact")
     lines = [
         f"hotpath suite (quick={current.get('quick')}, "
-        f"py {current.get('python')}, engine {tag})"
+        f"py {current.get('python')}, engine {engine})"
     ]
     ratios = speedups(current, baseline) if baseline else {}
     for key, value in current.get("metrics", {}).items():
@@ -316,9 +302,9 @@ def baseline_mismatch(
 ) -> List[str]:
     """Why ``current`` must not be perf-compared against ``baseline``.
 
-    Engine and Python-implementation tags must agree: a pure-Python run
-    against a native-build baseline (or CPython vs PyPy) would report a
-    "regression" that is really a platform difference.  Legacy schema-1
+    Engine and Python-implementation tags must agree: a CPython run
+    against a PyPy baseline would report a "regression" that is really
+    a platform difference.  Legacy schema-1
     baselines carry no tags; absent fields are not treated as
     mismatches so old baselines keep working until regenerated.
     """
@@ -330,14 +316,6 @@ def baseline_mismatch(
         problems.append(
             f"baseline was recorded under engine {base_engine!r}, "
             f"this run used {cur_engine!r}"
-        )
-    base_native = (baseline.get("engine") or {}).get("native")
-    cur_native = (current.get("engine") or {}).get("native")
-    if base_native is not None and cur_native is not None \
-            and base_native != cur_native:
-        problems.append(
-            f"baseline was recorded with native={base_native}, "
-            f"this run has native={cur_native}"
         )
     base_impl, cur_impl = baseline.get("impl"), current.get("impl")
     if base_impl is not None and cur_impl is not None \

@@ -6,10 +6,9 @@ Two obligations come with the swappable-engine architecture
 * **surface completeness** — every name in
   :data:`repro.core.platform.ENGINE_NAMES` is registered, and every
   registered engine implements the full :class:`ISimEngine` surface
-  (``name``, ``version``, ``capabilities``, ``available``, ``run``,
-  ``fingerprint``).  A partial engine would fail at first use; this
-  rule fails it at lint time, with the finding anchored to the class
-  definition.
+  (``name``, ``version``, ``capabilities``, ``run``, ``fingerprint``).
+  A partial engine would fail at first use; this rule fails it at lint
+  time, with the finding anchored to the class definition.
 * **import direction** — model code never imports the engines package.
   The dependency is strictly one-way (engines import the model); a
   model module reaching into ``repro.engines`` would make the "exact
@@ -30,8 +29,7 @@ from .core import AstRule, Finding, ModuleSource, Project, register
 __all__ = ["EngineContractRule", "validate_engine_surface"]
 
 #: methods/attributes every engine must provide
-REQUIRED_SURFACE = ("name", "version", "capabilities", "available", "run",
-                    "fingerprint")
+REQUIRED_SURFACE = ("name", "version", "capabilities", "run", "fingerprint")
 
 #: path fragments allowed to import repro.engines (POSIX, relative to
 #: src/repro); everything else in the package is model code

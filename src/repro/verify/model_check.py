@@ -49,10 +49,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..bus.types import BusOp
 from ..cache.line import State
 from ..cache.protocols import make_protocol
-from ..cache.protocols.base import SnoopOp, WriteAction
-from ..core.reduction import SharedMode, WrapperPolicy, reduce_protocols
+from ..cache.protocols.base import WriteAction
+from ..core.reduction import WrapperPolicy, reduce_protocols
 
 __all__ = [
     "ModelState",
@@ -174,23 +175,8 @@ class _SystemModel:
         self.n = len(self.protocols)
         self.directory = directory
 
-    # -- policy application (mirrors Wrapper.snoop / shared_filter) --------
-    def _snoop_op(self, snooper: int, op: SnoopOp) -> SnoopOp:
-        policy = self.policies[snooper]
-        if policy.convert_read_to_write and op in (SnoopOp.READ, SnoopOp.READ_EXCL):
-            return SnoopOp.WRITE
-        return op
-
-    def _filtered_shared(self, filler: int, actual: bool) -> bool:
-        mode = self.policies[filler].shared_mode
-        if mode is SharedMode.ALWAYS:
-            return True
-        if mode is SharedMode.NEVER:
-            return False
-        return actual
-
     def _snoop_one(self, states, fresh, mem_fresh, snooper, op, present=None):
-        """Apply one snooped operation to one non-acting cache.
+        """Apply one snooped bus operation to one non-acting cache.
 
         Returns ``(mem_fresh, supplied_fresh, assert_shared)`` where
         ``supplied_fresh`` is the freshness of cache-to-cache data (None
@@ -200,12 +186,14 @@ class _SystemModel:
         """
         if states[snooper] is State.INVALID:
             return mem_fresh, None, False
-        effective_op = self._snoop_op(snooper, op)
+        # The wrapper's snoop-path conversion, exactly as Wrapper.snoop
+        # applies it.
+        effective_op = self.policies[snooper].snoop_op(op)
         # A drain forces ARTRY: the snooper pushes, the master retries
         # and the address phase snoops the *post-drain* state — exactly
         # the bus retry loop.  One retry always suffices (the FSMs never
         # demand two consecutive drains).
-        outcome = self.protocols[snooper].snoop(states[snooper], effective_op)
+        outcome = self.protocols[snooper].lookup_snoop(states[snooper], effective_op)
         if outcome.drain:
             mem_fresh = fresh[snooper]  # dirty copy pushed to memory
             states[snooper] = outcome.next_state
@@ -214,7 +202,7 @@ class _SystemModel:
                 if present is not None:
                     present[snooper] = False
                 return mem_fresh, None, False
-            outcome = self.protocols[snooper].snoop(states[snooper], effective_op)
+            outcome = self.protocols[snooper].lookup_snoop(states[snooper], effective_op)
             assert not outcome.drain, "FSM demanded a second drain"
         supplied_fresh = fresh[snooper] if outcome.supply else None
         states[snooper] = outcome.next_state
@@ -284,10 +272,10 @@ class _SystemModel:
             violation = None if fresh[actor] else "stale-read"
             return model, violation
         mem_fresh, supplied_fresh, shared_actual = self._snoop(
-            states, fresh, mem_fresh, actor, SnoopOp.READ, present
+            states, fresh, mem_fresh, actor, BusOp.READ_LINE, present
         )
-        shared = self._filtered_shared(actor, shared_actual)
-        states[actor] = self.protocols[actor].fill_state(False, shared)
+        shared = self.policies[actor].filter_shared(shared_actual)
+        states[actor] = self.protocols[actor].lookup_fill_state(False, shared)
         if present is not None:
             present[actor] = True  # install listener: line filled
         source_fresh = supplied_fresh if supplied_fresh is not None else mem_fresh
@@ -307,26 +295,26 @@ class _SystemModel:
             if State.MODIFIED not in self.protocols[actor].states:
                 # Write-through no-allocate (SI): the word goes to memory.
                 mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, SnoopOp.WRITE, present
+                    states, fresh, mem_fresh, actor, BusOp.WRITE, present
                 )
                 write_through = True
             else:
                 # RWITM fill.
                 mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, SnoopOp.READ_EXCL, present
+                    states, fresh, mem_fresh, actor, BusOp.READ_LINE_EXCL, present
                 )
-                states[actor] = self.protocols[actor].fill_state(True, False)
+                states[actor] = self.protocols[actor].lookup_fill_state(True, False)
                 if present is not None:
                     present[actor] = True  # install listener: line filled
         else:
-            new_state, action = self.protocols[actor].write_hit(states[actor])
+            new_state, action = self.protocols[actor].lookup_write_hit(states[actor])
             if action is WriteAction.UPGRADE:
                 mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, SnoopOp.INVALIDATE, present
+                    states, fresh, mem_fresh, actor, BusOp.INVALIDATE, present
                 )
             elif action is WriteAction.WRITE_THROUGH:
                 mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, SnoopOp.WRITE, present
+                    states, fresh, mem_fresh, actor, BusOp.WRITE, present
                 )
                 write_through = True
             states[actor] = new_state

@@ -15,6 +15,7 @@ from repro.cache import (
     WriteAction,
     make_protocol,
 )
+from repro.cpu.presets import preset_intel486
 from repro.errors import ProtocolError
 
 ALL_PROTOCOLS = [MEIProtocol(), MSIProtocol(), MESIProtocol(), MOESIProtocol(), SIProtocol()]
@@ -291,3 +292,44 @@ def test_property_foreign_state_rejected(protocol):
             continue
         with pytest.raises(ProtocolError):
             protocol.snoop(state, SnoopOp.READ)
+
+
+# ---------------------------------------------------------------------------
+# the memoised lookups every engine goes through
+# ---------------------------------------------------------------------------
+#: every FSM a cache line can run under, SI as the i486's write-through
+#: sub-protocol (its ``protocol_wt``) included
+LINE_PROTOCOLS = (
+    "MEI", "MSI", "MESI", "MOESI", "DRAGON", preset_intel486().protocol_wt,
+)
+
+
+def _assert_memo_matches(lookup, method, *args):
+    try:
+        expected = method(*args)
+    except ProtocolError:
+        # Errors are never memoised: every lookup raises again.
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                lookup(*args)
+        return
+    # The first lookup fills the table, the second reads it back.
+    for _ in range(2):
+        assert lookup(*args) == expected
+
+
+@pytest.mark.parametrize("op", ALL_SNOOP_OPS, ids=lambda op: op.value)
+@pytest.mark.parametrize("state", list(State), ids=str)
+@pytest.mark.parametrize("name", LINE_PROTOCOLS)
+def test_memoised_lookups_match_the_fsm(name, state, op):
+    memo, fsm = make_protocol(name), make_protocol(name)
+    _assert_memo_matches(memo.lookup_snoop, fsm.snoop, state, op)
+    _assert_memo_matches(memo.lookup_write_hit, fsm.write_hit, state)
+    for exclusive in (False, True):
+        for shared in (False, True):
+            _assert_memo_matches(
+                memo.lookup_fill_state, fsm.fill_state, exclusive, shared
+            )
+    if state is not I and state not in fsm.states:
+        with pytest.raises(ProtocolError):
+            memo.lookup_snoop(state, op)

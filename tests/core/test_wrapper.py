@@ -61,13 +61,13 @@ class TestSharedFilter:
     def test_never_mode_fills_exclusive(self):
         platform = make_pair("MESI", "MEI")
         assert platform.wrappers[0].policy.shared_mode is SharedMode.NEVER
-        assert platform.wrappers[0]._shared_filter(True) is False
+        assert platform.wrappers[0].controller.shared_filter(True) is False
 
     def test_always_mode_fills_shared(self):
         platform = make_pair("MSI", "MESI")
         mesi_wrapper = platform.wrappers[1]
         assert mesi_wrapper.policy.shared_mode is SharedMode.ALWAYS
-        assert mesi_wrapper._shared_filter(False) is True
+        assert mesi_wrapper.controller.shared_filter(False) is True
         mesi = platform.controller("p2")
         drive(platform, mesi.read(SHARED))
         assert mesi.line_state(SHARED) is State.SHARED
@@ -75,8 +75,8 @@ class TestSharedFilter:
     def test_native_mode_passthrough(self):
         platform = make_pair("MESI", "MESI")
         wrapper = platform.wrappers[0]
-        assert wrapper._shared_filter(True) is True
-        assert wrapper._shared_filter(False) is False
+        assert wrapper.controller.shared_filter(True) is True
+        assert wrapper.controller.shared_filter(False) is False
 
 
 class TestGuards:

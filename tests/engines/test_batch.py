@@ -1,9 +1,8 @@
-"""Batch-engine edges: rejections, ingestion fallback, value semantics.
+"""Batch-engine edges: rejections and value semantics.
 
 The batch engine refuses configurations it cannot replay faithfully
 (fault injection, non-coherent masters) instead of producing silently
-wrong statistics, and its numpy-vectorised ingestion must decompose
-traces identically to the scalar fallback.
+wrong statistics.
 """
 
 import pytest
@@ -11,8 +10,7 @@ import pytest
 from repro.core import LOCK_BASE, SHARED_BASE
 from repro.core.platform import PlatformConfig
 from repro.cpu.presets import preset_arm920t, preset_generic
-from repro.engines import get_engine, serialize_workload
-from repro.engines.batch import HAS_NUMPY
+from repro.engines import get_engine
 from repro.errors import ConfigError
 from repro.faults import FaultSpec
 from repro.workloads.tracegen import TraceAccess
@@ -75,19 +73,3 @@ class TestValueSemantics:
         assert result.accesses == 0
         assert result.values == []
 
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-class TestIngestionFallback:
-    def test_scalar_fallback_matches_numpy(self, monkeypatch):
-        import repro.engines.batch as batch_mod
-
-        config = _two_mesi()
-        accesses = serialize_workload(
-            {"kind": "racy", "n": 200, "footprint_words": 24, "seed": 13}
-        )
-        vectorised = get_engine("batch").run(config, accesses)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        scalar = get_engine("batch").run(config, accesses)
-        assert scalar.stats == vectorised.stats
-        assert scalar.line_states == vectorised.line_states
-        assert scalar.values == vectorised.values

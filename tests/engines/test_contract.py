@@ -19,7 +19,6 @@ from repro.cpu.presets import preset_generic
 from repro.engines import (
     EngineCapabilities,
     ISimEngine,
-    available_engines,
     engine_fingerprint,
     engine_names,
     get_engine,
@@ -47,11 +46,6 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown engine"):
             get_engine("interpretive-dance")
 
-    def test_every_engine_is_available_here(self):
-        # exact/compiled always run; batch has a scalar ingestion
-        # fallback, so nothing in this environment is unavailable.
-        assert available_engines() == list(engine_names())
-
     def test_duplicate_registration_is_rejected(self):
         class Impostor(ISimEngine):
             name = "exact"
@@ -59,9 +53,6 @@ class TestRegistry:
 
             def capabilities(self):  # pragma: no cover - never called
                 return EngineCapabilities(True, True, True)
-
-            def available(self):  # pragma: no cover - never called
-                return True
 
             def run(self, config, accesses):  # pragma: no cover
                 raise NotImplementedError
@@ -80,14 +71,12 @@ class TestSurface:
         assert engine.name == name
         assert isinstance(engine.version, int) and engine.version >= 1
         assert isinstance(engine.capabilities(), EngineCapabilities)
-        assert isinstance(engine.available(), bool)
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_fingerprint_carries_cache_key_identity(self, name):
         fp = engine_fingerprint(name)
         assert fp["name"] == name
         assert fp["version"] == get_engine(name).version
-        assert isinstance(fp["native"], bool)
 
     def test_capability_flags_match_the_documented_promises(self):
         exact = get_engine("exact").capabilities()
@@ -96,8 +85,6 @@ class TestSurface:
         assert not batch.trace_exact
         assert not batch.timing
         assert not batch.concurrent
-        compiled = get_engine("compiled").capabilities()
-        assert compiled.trace_exact and compiled.timing and compiled.concurrent
 
     def test_lint_surface_validation_is_clean(self):
         from repro.lint.engine_contract import validate_engine_surface

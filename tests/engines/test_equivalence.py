@@ -6,12 +6,15 @@ engine, as do the final per-master line-state occupancy and every
 per-access value (loaded words, pre-swap values).  This suite runs
 that comparison over all five generated workload families crossed
 with all six protocols (homogeneous pairs), plus heterogeneous mixes
-that exercise the reduction wrappers and the i486's split
-write-back/write-through (MESI + SI) configuration.
+that exercise the reduction wrappers, the i486's split
+write-back/write-through (MESI + SI) configuration, and seeded random
+platforms of two to four masters.
 
 Small caches force evictions and write-backs so the replacement and
 drain paths are compared, not just the hit fast path.
 """
+
+import random
 
 import pytest
 
@@ -108,3 +111,66 @@ def test_software_coherence_mode():
     )
     assert_equivalent(config, {"kind": "hotspot", "n": 100,
                                "footprint_words": 32, "seed": 2})
+
+
+# ---------------------------------------------------------------------------
+# seeded random platforms
+# ---------------------------------------------------------------------------
+RANDOM_SEEDS = range(24)
+
+
+def _random_case(seed):
+    """A seeded random platform and workload the batch engine accepts.
+
+    Fault-free, atomic fabric, coherent masters only: two to four
+    masters with a random invalidation-protocol mix (or all-Dragon),
+    256/512-byte direct-mapped or 2-way caches and footprints of up to
+    4 KB, so both evictions and drains happen.
+    """
+    rng = random.Random(f"equivalence:{seed}")
+    n = rng.choice((2, 3, 4))
+    if rng.random() < 0.15:
+        protocols = ("DRAGON",) * n
+    else:
+        protocols = tuple(
+            rng.choice(("MEI", "MSI", "MESI", "MOESI")) for _ in range(n)
+        )
+    cores = tuple(
+        preset_generic(f"p{i}", protocol, cache_size=rng.choice((256, 512)))
+        .with_(cache_ways=rng.choice((1, 2)))
+        for i, protocol in enumerate(protocols)
+    )
+    kind = rng.choice(("racy", "hotspot", "false-sharing"))
+    workload = {"kind": kind, "procs": n, "n": rng.randrange(40, 120),
+                "seed": rng.randrange(1 << 20)}
+    if kind == "false-sharing":
+        workload["lines"] = rng.choice((2, 4, 8))
+    else:
+        workload["footprint_words"] = rng.choice((64, 256, 1024))
+    return PlatformConfig(cores=cores, hardware_coherence=True), workload
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_seeded_random_platforms(seed):
+    assert_equivalent(*_random_case(seed))
+
+
+def test_random_platforms_cover_the_hard_cases():
+    # The sample must include a heterogeneous platform of 3+ masters
+    # and, over the whole sample, evictions and snoop drains.
+    cases = [_random_case(seed) for seed in RANDOM_SEEDS]
+    assert any(
+        len(config.cores) >= 3
+        and len({core.protocol for core in config.cores}) > 1
+        for config, _workload in cases
+    )
+    totals = {"evictions": 0, "drains": 0}
+    for config, workload in cases:
+        stats = get_engine("exact").run(
+            config, serialize_workload(workload)
+        ).stats
+        for key, value in stats.items():
+            counter = key.rsplit(".", 1)[-1]
+            if counter in totals:
+                totals[counter] += value
+    assert totals["evictions"] > 0 and totals["drains"] > 0, totals

@@ -21,8 +21,8 @@ import os
 
 import pytest
 
+from repro.core.platform import KERNEL_ENGINES
 from repro.cpu.presets import preset_arm920t, preset_generic
-from repro.engines import kernel_is_native
 from repro.workloads.microbench import MicrobenchSpec, run_microbench
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -31,23 +31,6 @@ STATS_FILE = os.path.join(GOLDEN_DIR, "table2_wcs_stats.json")
 
 #: every channel the platform components emit on
 ALL_CHANNELS = ("bus", "cache", "irq", "mem", "core")
-
-#: both kernel engines must reproduce the golden trace byte-identically;
-#: the compiled leg only proves something extra on a native build, so it
-#: skips (not passes) when tools/build_native.py has not run
-KERNEL_ENGINE_PARAMS = (
-    "exact",
-    pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(
-            not kernel_is_native(),
-            reason="no native build present (run tools/build_native.py); "
-            "the compiled engine would exercise the same pure-Python "
-            "modules as the exact leg",
-        ),
-    ),
-)
-
 
 def run_golden_workload(engine: str = "exact"):
     """The fixed workload: Table-2 protocol pair + a snooped ARM920T.
@@ -82,7 +65,7 @@ def run_golden_workload(engine: str = "exact"):
     return trace_text, stats
 
 
-@pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
+@pytest.mark.parametrize("engine", KERNEL_ENGINES)
 def test_trace_stream_matches_golden(engine):
     trace_text, _stats = run_golden_workload(engine)
     with open(TRACE_FILE) as handle:
@@ -93,7 +76,7 @@ def test_trace_stream_matches_golden(engine):
     )
 
 
-@pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
+@pytest.mark.parametrize("engine", KERNEL_ENGINES)
 def test_headline_stats_match_golden(engine):
     _trace, stats = run_golden_workload(engine)
     with open(STATS_FILE) as handle:

@@ -19,10 +19,9 @@ false sharing); this is the shrunk deterministic interleaving.
 import pytest
 
 from repro.core import SHARED_BASE, Platform, PlatformConfig
+from repro.core.platform import KERNEL_ENGINES
 from repro.cpu import preset_generic
 from repro.verify import CoherenceChecker
-
-from .test_golden_trace import KERNEL_ENGINE_PARAMS
 
 WORD0 = SHARED_BASE          # p0's word
 WORD1 = SHARED_BASE + 4      # p1's word, same cache line
@@ -58,7 +57,7 @@ def run_race(pair, engine="exact"):
     return platform, checker
 
 
-@pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
+@pytest.mark.parametrize("engine", KERNEL_ENGINES)
 @pytest.mark.parametrize(
     "pair",
     [("MESI", "MESI"), ("MOESI", "MOESI"), ("MSI", "MSI"), ("MSI", "MOESI")],
@@ -69,7 +68,7 @@ def test_concurrent_upgrades_do_not_lose_data(pair, engine):
     assert checker.clean, [str(v) for v in checker.violations]
 
 
-@pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
+@pytest.mark.parametrize("engine", KERNEL_ENGINES)
 def test_lost_upgrade_is_cancelled_before_snooping(engine):
     platform, checker = run_race(("MOESI", "MOESI"), engine)
     # The loser must be cancelled at grant time and redone as a full

@@ -77,23 +77,6 @@ class TestBench:
         )
         assert code == 0
 
-    def test_explicit_exact_engine_matches_default(self, capsys):
-        argv = ["bench", "bcs", "proposed", "--lines", "2",
-                "--iterations", "2"]
-        assert main(argv) == 0
-        default_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "exact"]) == 0
-        assert capsys.readouterr().out == default_out
-
-    def test_statistics_only_engine_rejected_for_microbench(self, capsys):
-        code = main(
-            ["bench", "wcs", "proposed", "--engine", "batch",
-             "--lines", "2", "--iterations", "2"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "statistics-only" in err
-
     def test_unknown_engine_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["bench", "wcs", "proposed", "--engine", "warp"])
