@@ -4,8 +4,13 @@ One bus tenure is::
 
     arbitration (1 cycle) -> address phase (1 cycle, snooped) -> data phase
 
-At the address phase every attached snooper other than the issuing
-master is consulted *combinationally* (a synchronous call).  Outcomes:
+At the address phase the attached snoopers other than the issuing
+master are consulted *combinationally* (a synchronous call).  The bus
+keeps a presence map (line base -> masters whose cache holds the line)
+fed by the cache controllers' install/remove listeners; a wrapper
+whose master is absent from the line's entry would answer MISS/OK with
+no side effect, so the window skips it.  Every other snooper (snoop
+logic, fault proxies) is consulted on every address phase.  Outcomes:
 
 * all OK / SHARED / SUPPLY -> the data phase proceeds (cache-to-cache
   supply replaces the memory access when a MOESI owner intervenes);
@@ -24,9 +29,9 @@ checker relies on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from ..errors import BusError, LivelockError
+from ..errors import BusError, ConfigError, LivelockError
 from ..sim import Clock, Simulator, Stats, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -75,6 +80,13 @@ class Snooper:
 
     ``master_name`` identifies the master whose own transactions this
     snooper must ignore (a cache does not snoop its own fills).
+
+    ``presence_filtered`` declares that a snoop of a line the master's
+    cache does not hold is a pure MISS (reply OK, no state change, no
+    stat, no trace) and that ``observe`` is a no-op.  The bus then
+    consults the snooper only for lines its presence map lists the
+    master as holding.  The default is False: the snooper sees every
+    address phase.
     """
 
     # Pure interface: no instance state of its own, and an empty
@@ -83,6 +95,7 @@ class Snooper:
     __slots__ = ()
 
     master_name: str = ""
+    presence_filtered: bool = False
 
     def snoop(self, txn: Transaction) -> SnoopReply:
         """Answer one address phase (called with the bus held)."""
@@ -94,6 +107,16 @@ class Snooper:
         Used by the snoop-logic TAG CAM to track the non-coherent
         processor's allocations; default is a no-op.
         """
+
+
+class _MasterStatKeys(dict):
+    """master -> its interned ``(bus.master.<m>, bus.busy.<m>)`` keys."""
+
+    __slots__ = ()
+
+    def __missing__(self, master: str) -> Tuple[str, str]:
+        keys = self[master] = (f"bus.master.{master}", f"bus.busy.{master}")
+        return keys
 
 
 # One bus per platform: a __dict__ here is off the per-event path.
@@ -136,6 +159,16 @@ class AsbBus:  # repro: lint-ok[slots]
         #: address phase) and an ARTRY livelock are different failures
         #: and must never be conflated in a LivelockError.
         self._cancel_streaks: Dict[str, int] = {}
+        #: line base -> masters whose cache holds the line (a superset
+        #: of the valid copies: removals notify after the line reads
+        #: INVALID).  Fed by the listeners ``register_master`` installs.
+        self._presence: Dict[int, Set[str]] = {}
+        self._masters: Dict[str, object] = {}
+        self._line_bytes: Optional[int] = None
+        self._line_mask = -1
+        #: per-tenure stat keys, interned once per op and per master
+        self._op_keys: Dict[BusOp, str] = {op: f"bus.op.{op.value}" for op in BusOp}
+        self._master_keys = _MasterStatKeys()
 
     def inflight_tenures(self) -> List[TenureState]:
         """Live :class:`TenureState` for every in-flight transaction."""
@@ -157,12 +190,46 @@ class AsbBus:  # repro: lint-ok[slots]
         self.snoopers.remove(snooper)
 
     def register_master(self, master: str, controller) -> None:
-        """Topology hook called once per coherent master at build time.
+        """Mirror ``controller``'s line occupancy into the presence map.
 
-        Fabrics that track per-master line occupancy (the directory)
-        override this to install presence listeners on the cache
-        controller; the broadcast bus needs nothing.
+        Called at build time for every cache controller; registering
+        the same controller again is a no-op.  Installs fire inside the
+        bus-held commit; removals fire inside snoop windows, evictions
+        and flushes, after the line reads INVALID — so the map is never
+        stale when a snoop window (or the directory) consults it.  The
+        map is keyed by line base, so every registered cache must share
+        one line size.
         """
+        known = self._masters.get(master)
+        if known is controller:
+            return
+        if known is not None:
+            raise ConfigError(f"bus master {master!r} registered twice")
+        line_bytes = controller.geom.line_bytes
+        if self._line_bytes is None:
+            self._line_bytes = line_bytes
+            self._line_mask = ~(line_bytes - 1)
+        elif line_bytes != self._line_bytes:
+            raise ConfigError(
+                f"{master}: {line_bytes}-byte lines on a bus whose caches use "
+                f"{self._line_bytes}-byte lines; presence tracking is "
+                "line-granular and needs one line size"
+            )
+        self._masters[master] = controller
+        presence = self._presence
+        controller.install_listeners.append(
+            lambda base, m=master: presence.setdefault(base, set()).add(m)
+        )
+        controller.remove_listeners.append(
+            lambda base, m=master: self._discard(base, m)
+        )
+
+    def _discard(self, base: int, master: str) -> None:
+        holders = self._presence.get(base)
+        if holders is not None:
+            holders.discard(master)
+            if not holders:
+                del self._presence[base]
 
     # -- the tenure ----------------------------------------------------------
     def transact(
@@ -192,9 +259,11 @@ class AsbBus:  # repro: lint-ok[slots]
         """
         sim = self.sim
         start = sim.now
-        self.stats.bump("bus.txns")
-        self.stats.bump(f"bus.op.{txn.op.value}")
-        self.stats.bump(f"bus.master.{txn.master}")
+        stats = self.stats
+        master_key, busy_key = self._master_keys[txn.master]
+        stats.bump("bus.txns")
+        stats.bump(self._op_keys[txn.op])
+        stats.bump(master_key)
         state = TenureState(txn.master, txn.op.value, txn.addr, start)
         self._inflight[id(txn)] = state
         held = False
@@ -236,14 +305,14 @@ class AsbBus:  # repro: lint-ok[slots]
                     # ARTRY: abort the tenure, back off until drains finish.
                     # The wasted address phase is the intrinsic cost; extra
                     # recovery cycles are configurable.
-                    self.stats.bump("bus.retries")
+                    stats.bump("bus.retries")
                     if trace.enabled:
                         trace.emit(sim.now, txn.master, "artry", addr=txn.addr)
                     if self.retry_penalty_cycles:
                         yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
                     aborted = sim.now - tenure_start
-                    self.stats.bump("bus.busy_ticks", aborted)
-                    self.stats.bump(f"bus.busy.{txn.master}", aborted)
+                    stats.bump("bus.busy_ticks", aborted)
+                    stats.bump(busy_key, aborted)
                     self.arbiter.release(txn.master)
                     held = False
                     txn.retries += 1
@@ -286,8 +355,8 @@ class AsbBus:  # repro: lint-ok[slots]
                         supplied=result.supplied, retries=txn.retries,
                     )
                 tenure = sim.now - tenure_start
-                self.stats.bump("bus.busy_ticks", tenure)
-                self.stats.bump(f"bus.busy.{txn.master}", tenure)
+                stats.bump("bus.busy_ticks", tenure)
+                stats.bump(busy_key, tenure)
                 self.arbiter.release(txn.master)
                 held = False
                 self._note_completion(txn)
@@ -357,19 +426,27 @@ class AsbBus:  # repro: lint-ok[slots]
     def _snoop_window(self, txn: Transaction) -> List[Tuple[str, SnoopReply]]:
         replies = []
         trace = self._trace_bus
+        master = txn.master
+        # A presence-filtered snooper whose master is not a holder would
+        # answer MISS/OK with no side effect: skip it.  The live set is
+        # safe to test against — a snoop only removes its own master.
+        holders = self._presence.get(txn.addr & self._line_mask, ())
         # Snapshot: a snoop callback may detach a snooper (fault-proxy
         # teardown) and must not mutate the sequence being iterated.
         for snooper in tuple(self.snoopers):
+            name = snooper.master_name
+            if snooper.presence_filtered and name not in holders:
+                continue
             snooper.observe(txn)
-            if snooper.master_name == txn.master:
+            if name == master:
                 continue
             reply = snooper.snoop(txn)
             if reply.action is not SnoopAction.OK and trace.enabled:
                 trace.emit(
-                    self.sim.now, snooper.master_name, "snoop",
+                    self.sim.now, name, "snoop",
                     op=txn.op.value, addr=txn.addr, action=reply.action.value,
                 )
-            replies.append((snooper.master_name, reply))
+            replies.append((name, reply))
         return replies
 
     def _data_phase(self, txn: Transaction, supplier: Optional[SnoopReply]):

@@ -40,6 +40,10 @@ __all__ = ["Wrapper"]
 class Wrapper(Snooper):
     """Protocol-conversion wrapper around one coherent cache controller."""
 
+    #: A snoop of a line the cache does not hold is a MISS: reply OK,
+    #: nothing else.  The bus skips this wrapper for such lines.
+    presence_filtered = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -65,6 +69,8 @@ class Wrapper(Snooper):
         self._worker = sim.process(
             self._drain_worker(), name=f"{self.master_name}.wrapper", daemon=True
         )
+        # The presence filter is only sound for a master the bus tracks.
+        bus.register_master(self.master_name, controller)
         bus.attach_snooper(self)
 
     # -- snoop path -----------------------------------------------------------

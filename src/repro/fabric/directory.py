@@ -6,12 +6,15 @@ forwards snoops point-to-point to those caches only (cf. the
 phase-priority directory-coherence line of work, arXiv:1305.3038).
 Two structural differences from the snoopy fabrics:
 
-* **Presence tracking.** :meth:`register_master` installs listeners on
-  each cache controller's install/remove hooks (the same hooks the
-  snoop logic's TAG CAM mirrors), so the directory's sharer/owner set
-  per line is an exact mirror of which caches hold the line valid.
+* **Presence tracking.** The directory reads the presence map every
+  fabric keeps (:meth:`~repro.bus.asb.AsbBus.register_master` installs
+  listeners on each cache controller's install/remove hooks, the same
+  hooks the snoop logic's TAG CAM mirrors), so the sharer/owner set per
+  line is an exact mirror of which caches hold the line valid.
   Consulting only those caches is equivalent to broadcast: a cache
   without the line answers every snoop MISS/OK, contributing nothing.
+  Unlike the snoopy buses, which skip only presence-filtered wrappers,
+  the directory forwards to no snooper outside the sharer set.
   ``observe`` taps remain broadcast — the snoop-logic TAG CAM needs to
   see its own master's transactions regardless of presence.
 * **Home banks.** The line address hashes to one of ``banks``
@@ -31,7 +34,7 @@ Fabric-specific counters use the ``fabric.dir.`` prefix.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..bus.types import BusResult, Priority, SnoopAction, SnoopReply, Transaction
 from ..bus.asb import TenureState
@@ -114,8 +117,6 @@ class DirectoryFabric(AtomicFabric):
         self._banks: Tuple = tuple(arbiter_factory() for _ in range(max(1, banks)))
         #: the watchdog-facing aggregate over the home banks
         self.arbiter = BankedArbiter(self._banks)
-        #: line base -> set of master names holding the line valid
-        self._presence: Dict[int, Set[str]] = {}
 
     @classmethod
     def capabilities(cls) -> FabricCapabilities:
@@ -168,32 +169,6 @@ class DirectoryFabric(AtomicFabric):
             "inflight": [t.describe() for t in self.inflight_tenures()],
         }
 
-    # -- presence directory -------------------------------------------------
-    def register_master(self, master: str, controller) -> None:
-        """Mirror ``controller``'s line occupancy into the directory.
-
-        Installs fire inside the bus-held commit; removals fire inside
-        snoop windows, evictions and flushes — all serialised per line
-        by the home bank, so the directory is never stale when
-        consulted.
-        """
-        controller.install_listeners.append(
-            lambda base, m=master: self._presence.setdefault(base, set()).add(m)
-        )
-        controller.remove_listeners.append(
-            lambda base, m=master: self._discard(base, m)
-        )
-
-    def _discard(self, base: int, master: str) -> None:
-        holders = self._presence.get(base)
-        if holders is not None:
-            holders.discard(master)
-            if not holders:
-                del self._presence[base]
-
-    def _line_base(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
     def _bank_for(self, addr: int):
         return self._banks[(addr // self.line_bytes) % len(self._banks)]
 
@@ -213,9 +188,11 @@ class DirectoryFabric(AtomicFabric):
         """
         sim = self.sim
         start = sim.now
-        self.stats.bump("bus.txns")
-        self.stats.bump(f"bus.op.{txn.op.value}")
-        self.stats.bump(f"bus.master.{txn.master}")
+        stats = self.stats
+        master_key, busy_key = self._master_keys[txn.master]
+        stats.bump("bus.txns")
+        stats.bump(self._op_keys[txn.op])
+        stats.bump(master_key)
         state = TenureState(txn.master, txn.op.value, txn.addr, start)
         self._inflight[id(txn)] = state
         bank = self._bank_for(txn.addr)
@@ -250,14 +227,14 @@ class DirectoryFabric(AtomicFabric):
                     (name, r) for name, r in replies if r.action is SnoopAction.RETRY
                 ]
                 if retriers:
-                    self.stats.bump("bus.retries")
+                    stats.bump("bus.retries")
                     if trace.enabled:
                         trace.emit(sim.now, txn.master, "artry", addr=txn.addr)
                     if self.retry_penalty_cycles:
                         yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
                     aborted = sim.now - tenure_start
-                    self.stats.bump("bus.busy_ticks", aborted)
-                    self.stats.bump(f"bus.busy.{txn.master}", aborted)
+                    stats.bump("bus.busy_ticks", aborted)
+                    stats.bump(busy_key, aborted)
                     bank.release(txn.master)
                     held = False
                     txn.retries += 1
@@ -300,8 +277,8 @@ class DirectoryFabric(AtomicFabric):
                         supplied=result.supplied, retries=txn.retries,
                     )
                 tenure = sim.now - tenure_start
-                self.stats.bump("bus.busy_ticks", tenure)
-                self.stats.bump(f"bus.busy.{txn.master}", tenure)
+                stats.bump("bus.busy_ticks", tenure)
+                stats.bump(busy_key, tenure)
                 bank.release(txn.master)
                 held = False
                 self._note_completion(txn)
@@ -322,8 +299,7 @@ class DirectoryFabric(AtomicFabric):
         (the remove listener fires), and fault-proxy teardown can
         detach a snooper mid-window.
         """
-        base = self._line_base(txn.addr)
-        sharers = frozenset(self._presence.get(base, ()))
+        sharers = frozenset(self._presence.get(txn.addr & self._line_mask, ()))
         self.stats.bump("fabric.dir.lookups")
         replies: List[Tuple[str, SnoopReply]] = []
         trace = self._trace_bus

@@ -133,9 +133,11 @@ class SplitBus(AtomicFabric):
         """
         sim = self.sim
         start = sim.now
-        self.stats.bump("bus.txns")
-        self.stats.bump(f"bus.op.{txn.op.value}")
-        self.stats.bump(f"bus.master.{txn.master}")
+        stats = self.stats
+        master_key, busy_key = self._master_keys[txn.master]
+        stats.bump("bus.txns")
+        stats.bump(self._op_keys[txn.op])
+        stats.bump(master_key)
         state = TenureState(txn.master, txn.op.value, txn.addr, start)
         self._inflight[id(txn)] = state
         held = False
@@ -168,14 +170,14 @@ class SplitBus(AtomicFabric):
                 if retriers:
                     # ARTRY semantics as on the atomic bus: the address
                     # tenure aborts; no data slot was consumed.
-                    self.stats.bump("bus.retries")
+                    stats.bump("bus.retries")
                     if trace.enabled:
                         trace.emit(sim.now, txn.master, "artry", addr=txn.addr)
                     if self.retry_penalty_cycles:
                         yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
                     aborted = sim.now - tenure_start
-                    self.stats.bump("bus.busy_ticks", aborted)
-                    self.stats.bump(f"bus.busy.{txn.master}", aborted)
+                    stats.bump("bus.busy_ticks", aborted)
+                    stats.bump(busy_key, aborted)
                     self.arbiter.release(txn.master)
                     held = False
                     txn.retries += 1
@@ -231,8 +233,8 @@ class SplitBus(AtomicFabric):
                 # repro: lint-ok[resource-release]
                 yield self._acquire_slot()
                 address_span = sim.now - tenure_start
-                self.stats.bump("bus.busy_ticks", address_span)
-                self.stats.bump(f"bus.busy.{txn.master}", address_span)
+                stats.bump("bus.busy_ticks", address_span)
+                stats.bump(busy_key, address_span)
                 predecessor = self._data_tail
                 done = sim.event()
                 self._data_tail = done
@@ -269,7 +271,7 @@ class SplitBus(AtomicFabric):
             yield self.sim.timeout(self.clock.cycles(cycles))
             span = self.sim.now - data_start
             self.stats.bump("bus.busy_ticks", span)
-            self.stats.bump(f"bus.busy.{txn.master}", span)
+            self.stats.bump(self._master_keys[txn.master][1], span)
             self.stats.bump("fabric.split.data_tenures")
         finally:
             del self._inflight[id(done)]

@@ -161,7 +161,9 @@ class _SystemModel:
     the fabric's listener discipline (set on fill/install, cleared on
     any transition to INVALID).  The exhaustive exploration then proves
     that skipping absent caches loses no invalidation — i.e. that the
-    presence set is always a superset of the valid copies.
+    presence set is always a superset of the valid copies.  The snoopy
+    buses keep the same map with the same listeners and skip wrappers
+    of non-holders, so this proof covers their presence filter too.
     """
 
     def __init__(
