@@ -25,6 +25,13 @@ bus is held (snoopers commit at the address phase; the master commits
 through the ``commit`` callback at the end of the data phase), so state
 updates are fully serialised by bus order — the property the coherence
 checker relies on.
+
+:meth:`AsbBus.transact` is the one tenure loop of every fabric.  The
+split and directory fabrics override only its hooks: which arbiter
+grants the tenure (``_arbiter_for``), the address-phase length
+(``address_cycles``), who is consulted (``_snoop_window``) and whether
+the data phase holds the bus or retires in the background
+(``pipelined_data`` / ``_pipeline_data``).
 """
 
 from __future__ import annotations
@@ -122,6 +129,11 @@ class _MasterStatKeys(dict):
 # One bus per platform: a __dict__ here is off the per-event path.
 class AsbBus:  # repro: lint-ok[slots]
     """The shared bus: arbitration, snooping, data movement, timing."""
+
+    #: False: the data phase holds the bus and the master commits at its
+    #: end.  True (the split bus): the master commits at address-phase
+    #: end and ``_pipeline_data`` retires the data occupancy.
+    pipelined_data = False
 
     def __init__(
         self,
@@ -232,6 +244,10 @@ class AsbBus:  # repro: lint-ok[slots]
                 del self._presence[base]
 
     # -- the tenure ----------------------------------------------------------
+    def _arbiter_for(self, addr: int) -> Arbiter:
+        """The arbiter that grants tenures for ``addr``."""
+        return self.arbiter
+
     def transact(
         self,
         txn: Transaction,
@@ -241,9 +257,10 @@ class AsbBus:  # repro: lint-ok[slots]
     ) -> Generator:
         """Run one transaction to completion (a process generator).
 
-        ``commit``, when given, runs at the end of the data phase while
-        the bus is still held — masters use it to install fills and flip
-        line states atomically with respect to other masters' snoops.
+        ``commit``, when given, runs while the bus is still held — at the
+        end of the data phase, or of the address phase when the data bus
+        is pipelined.  Masters use it to install fills and flip line
+        states atomically with respect to other masters' snoops.
 
         ``validate``, when given, is consulted at every bus grant before
         the address phase.  If it returns false the tenure is cancelled
@@ -266,17 +283,18 @@ class AsbBus:  # repro: lint-ok[slots]
         stats.bump(master_key)
         state = TenureState(txn.master, txn.op.value, txn.addr, start)
         self._inflight[id(txn)] = state
+        arbiter = self._arbiter_for(txn.addr)
         held = False
         try:
             while True:
-                yield self.arbiter.request(txn.master, priority)
+                yield arbiter.request(txn.master, priority)
                 held = True
                 if validate is not None and not validate():
                     # The premise vanished while we waited for the grant
                     # (e.g. an upgrade whose line a competing RWITM just
                     # snatched): drop the tenure before the address
                     # phase so no snooper ever sees the stale op.
-                    self.arbiter.release(txn.master)
+                    arbiter.release(txn.master)
                     held = False
                     self._record_cancellation(txn)
                     return None
@@ -313,7 +331,7 @@ class AsbBus:  # repro: lint-ok[slots]
                     aborted = sim.now - tenure_start
                     stats.bump("bus.busy_ticks", aborted)
                     stats.bump(busy_key, aborted)
-                    self.arbiter.release(txn.master)
+                    arbiter.release(txn.master)
                     held = False
                     txn.retries += 1
                     state.retries = txn.retries
@@ -334,10 +352,11 @@ class AsbBus:  # repro: lint-ok[slots]
                 supplier = next(
                     (r for _, r in replies if r.action is SnoopAction.SUPPLY), None
                 )
-                state.phase = "data"
-                state.since = sim.now
                 data, cycles = self._data_phase(txn, supplier)
-                yield sim.timeout(self.clock.cycles(cycles))
+                if not self.pipelined_data:
+                    state.phase = "data"
+                    state.since = sim.now
+                    yield sim.timeout(self.clock.cycles(cycles))
                 result = BusResult(
                     data=data,
                     shared=shared,
@@ -354,10 +373,12 @@ class AsbBus:  # repro: lint-ok[slots]
                         op=txn.op.value, addr=txn.addr, shared=shared,
                         supplied=result.supplied, retries=txn.retries,
                     )
+                if self.pipelined_data:
+                    yield from self._pipeline_data(txn, cycles)
                 tenure = sim.now - tenure_start
                 stats.bump("bus.busy_ticks", tenure)
                 stats.bump(busy_key, tenure)
-                self.arbiter.release(txn.master)
+                arbiter.release(txn.master)
                 held = False
                 self._note_completion(txn)
                 return result
@@ -366,7 +387,7 @@ class AsbBus:  # repro: lint-ok[slots]
             if held:
                 # A fault mid-tenure (snooper exception, data-phase
                 # error) must not wedge the bus for every other master.
-                self.arbiter.release(txn.master)
+                arbiter.release(txn.master)
 
     # -- internals -------------------------------------------------------------
     def _record_cancellation(self, txn: Transaction) -> None:

@@ -22,22 +22,26 @@ Two structural differences from the snoopy fabrics:
   discipline), so transactions to different homes proceed
   concurrently — the scaling win over a single snoopy bus.  Same-line
   transactions always hash to the same bank, preserving the
-  per-address serialisation the coherence checker relies on.  Each
-  bank tenure is atomic (address + directory lookup + data), and the
-  lookup adds ``DIRECTORY_LOOKUP_CYCLES`` to every address phase.
+  per-address serialisation the coherence checker relies on.  The hash
+  and the presence map use the bus's one line size, so a cache with
+  any other is refused at ``register_master``.
 
-The protocol tables, wrapper conversions, ARTRY/drain handover and
-validate-cancel semantics are all reused unchanged from the ASB model;
-only *who is consulted* and *how tenures are arbitrated* differ.
-Fabric-specific counters use the ``fabric.dir.`` prefix.
+The tenure is :meth:`AsbBus.transact`, unchanged: each bank tenure is
+atomic (address + directory lookup + data), and the protocol tables,
+wrapper conversions, ARTRY/drain handover and validate-cancel
+semantics are the atomic bus's own.  The directory overrides only the
+hooks that say *how tenures are arbitrated* (``_arbiter_for`` returns
+the home bank), *who is consulted* (``_snoop_window``) and how long
+the address phase is (``DIRECTORY_LOOKUP_CYCLES`` folds into
+``address_cycles``).  Fabric-specific counters use the ``fabric.dir.``
+prefix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, List, Tuple
 
-from ..bus.types import BusResult, Priority, SnoopAction, SnoopReply, Transaction
-from ..bus.asb import TenureState
+from ..bus.types import SnoopAction, SnoopReply, Transaction
 from .atomic import AtomicFabric
 from .interfaces import FabricCapabilities
 from .registry import register_fabric
@@ -113,7 +117,13 @@ class DirectoryFabric(AtomicFabric):
             stats=stats,
             max_retries=max_retries,
         )
-        self.line_bytes = line_bytes
+        # The lookup lengthens every address phase; DRAIN priority skips
+        # only the arbitration cycles, so it folds into address_cycles.
+        self.address_cycles += self.DIRECTORY_LOOKUP_CYCLES
+        # One line size for the presence map and the home-bank hash:
+        # register_master refuses a cache with any other.
+        self._line_bytes = line_bytes
+        self._line_mask = ~(line_bytes - 1)
         self._banks: Tuple = tuple(arbiter_factory() for _ in range(max(1, banks)))
         #: the watchdog-facing aggregate over the home banks
         self.arbiter = BankedArbiter(self._banks)
@@ -169,127 +179,12 @@ class DirectoryFabric(AtomicFabric):
             "inflight": [t.describe() for t in self.inflight_tenures()],
         }
 
-    def _bank_for(self, addr: int):
-        return self._banks[(addr // self.line_bytes) % len(self._banks)]
+    # -- the tenure hooks ---------------------------------------------------
+    def _arbiter_for(self, addr: int):
+        """The line's home bank."""
+        return self._banks[(addr // self._line_bytes) % len(self._banks)]
 
-    # -- the tenure ---------------------------------------------------------
-    def transact(
-        self,
-        txn: Transaction,
-        priority: Priority = Priority.NORMAL,
-        commit=None,
-        validate=None,
-    ) -> Generator:
-        """One tenure on the line's home bank.
-
-        Identical phase structure to the atomic bus, except the
-        arbitration domain is the per-home bank, the address phase pays
-        the directory lookup, and only recorded sharers are snooped.
-        """
-        sim = self.sim
-        start = sim.now
-        stats = self.stats
-        master_key, busy_key = self._master_keys[txn.master]
-        stats.bump("bus.txns")
-        stats.bump(self._op_keys[txn.op])
-        stats.bump(master_key)
-        state = TenureState(txn.master, txn.op.value, txn.addr, start)
-        self._inflight[id(txn)] = state
-        bank = self._bank_for(txn.addr)
-        held = False
-        try:
-            while True:
-                yield bank.request(txn.master, priority)
-                held = True
-                if validate is not None and not validate():
-                    bank.release(txn.master)
-                    held = False
-                    self._record_cancellation(txn)
-                    return None
-                tenure_start = sim.now
-                state.phase = "address"
-                state.since = tenure_start
-                arb_cycles = 0 if priority is Priority.DRAIN else self.arbitration_cycles
-                yield sim.timeout(
-                    self.clock.edge_then_cycles(
-                        sim.now,
-                        arb_cycles + self.address_cycles + self.DIRECTORY_LOOKUP_CYCLES,
-                    )
-                )
-                trace = self._trace_bus
-                if trace.enabled:
-                    trace.emit(
-                        sim.now, txn.master, "address-phase",
-                        op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
-                    )
-                replies = self._directory_window(txn)
-                retriers = [
-                    (name, r) for name, r in replies if r.action is SnoopAction.RETRY
-                ]
-                if retriers:
-                    stats.bump("bus.retries")
-                    if trace.enabled:
-                        trace.emit(sim.now, txn.master, "artry", addr=txn.addr)
-                    if self.retry_penalty_cycles:
-                        yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
-                    aborted = sim.now - tenure_start
-                    stats.bump("bus.busy_ticks", aborted)
-                    stats.bump(busy_key, aborted)
-                    bank.release(txn.master)
-                    held = False
-                    txn.retries += 1
-                    state.retries = txn.retries
-                    self._check_retry_ceiling(txn)
-                    state.phase = "backed-off"
-                    state.since = sim.now
-                    state.waiting_on = tuple(name for name, _ in retriers)
-                    yield sim.all_of([r.completion for _, r in retriers])
-                    state.waiting_on = ()
-                    state.phase = "arbitrating"
-                    state.since = sim.now
-                    priority = Priority.RETRY
-                    continue
-                shared = any(
-                    r.action in (SnoopAction.SHARED, SnoopAction.SUPPLY)
-                    for _, r in replies
-                )
-                supplier = next(
-                    (r for _, r in replies if r.action is SnoopAction.SUPPLY), None
-                )
-                state.phase = "data"
-                state.since = sim.now
-                data, cycles = self._data_phase(txn, supplier)
-                yield sim.timeout(self.clock.cycles(cycles))
-                result = BusResult(
-                    data=data,
-                    shared=shared,
-                    retries=txn.retries,
-                    start_time=start,
-                    end_time=sim.now,
-                    supplied=supplier is not None,
-                )
-                if commit is not None:
-                    commit(result)
-                if trace.enabled:
-                    trace.emit(
-                        sim.now, txn.master, "complete",
-                        op=txn.op.value, addr=txn.addr, shared=shared,
-                        supplied=result.supplied, retries=txn.retries,
-                    )
-                tenure = sim.now - tenure_start
-                stats.bump("bus.busy_ticks", tenure)
-                stats.bump(busy_key, tenure)
-                bank.release(txn.master)
-                held = False
-                self._note_completion(txn)
-                return result
-        finally:
-            del self._inflight[id(txn)]
-            if held:
-                bank.release(txn.master)
-
-    # -- internals ----------------------------------------------------------
-    def _directory_window(self, txn: Transaction) -> List[Tuple[str, SnoopReply]]:
+    def _snoop_window(self, txn: Transaction) -> List[Tuple[str, SnoopReply]]:
         """Consult the directory and forward the snoop point-to-point.
 
         Equivalent to the broadcast window: caches absent from the

@@ -106,13 +106,14 @@ class IFabric(ABC):
     def transact(self, txn, priority=None, commit=None, validate=None):
         """Run one transaction to completion (a process generator).
 
-        Semantics contract (``AsbBus.transact`` is the reference): the
-        snoop window and all coherence state changes happen while the
-        transaction's arbitration domain is held, serialised per
-        address; ``validate`` is consulted at grant time and a False
-        answer cancels the tenure (``None`` returned, no snooper
-        consulted); ARTRY backs the master off until the retrying
-        snoopers' drains complete.
+        Every fabric inherits the one tenure loop, ``AsbBus.transact``,
+        and overrides only its hooks (see ``docs/fabrics.md``).  The
+        contract it keeps: the snoop window and all coherence state
+        changes happen while the transaction's arbitration domain is
+        held, serialised per address; ``validate`` is consulted at
+        grant time and a False answer cancels the tenure (``None``
+        returned, no snooper consulted); ARTRY backs the master off
+        until the retrying snoopers' drains complete.
         """
 
     @abstractmethod

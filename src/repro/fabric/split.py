@@ -15,21 +15,22 @@ end of the data phase.  Here the two phases are decoupled:
   address bus, until a data tenure retires — the classic split-bus
   flow-control point.
 
-Coherence semantics are *identical* to the atomic bus by construction:
-the snoop window, the data movement and the master's ``commit``
-callback all execute at the end of the address phase while the address
-bus is held, and ``transact`` returns to the master *synchronously* at
-that same instant — so the master's post-transact work (writing the
-store value into the freshly installed line) also lands before any
-other master can reach an address phase.  Every coherence state change
-therefore remains serialised in address-grant order and the shipped
-protocol tables, wrapper conversions, ARTRY back-off and
-validate-cancel paths apply unchanged.  What pipelines is purely
-*occupancy*: each data tenure runs as a background process chained in
-address order.  The cross-fabric differential suite checks that every
-non-timing counter and final line state matches the atomic fabric
-exactly; fabric-specific counters use the ``fabric.`` prefix, which
-that suite exempts alongside ``bus.busy*``.
+The tenure is :meth:`AsbBus.transact`, unchanged; this class sets its
+``pipelined_data`` hook.  The data movement and the master's
+``commit`` callback then run at the end of the address phase while the
+address bus is held, and ``_pipeline_data`` reserves a window slot and
+spawns the data tenure before the address bus is released.  Without a
+stall ``transact`` returns to the master *synchronously* at that same
+instant, so the master's post-transact work (writing the store value
+into the freshly installed line) also lands before any other master
+can reach an address phase.  Every coherence state change therefore
+remains serialised in address-grant order, and the snoop window, ARTRY
+back-off and validate-cancel paths are the atomic bus's own.  What
+pipelines is purely *occupancy*: each data tenure runs as a background
+process chained in address order.  The cross-fabric differential suite
+checks that every non-timing counter and final line state matches the
+atomic fabric exactly; fabric-specific counters use the ``fabric.``
+prefix, which that suite exempts alongside ``bus.busy*``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import deque
 from typing import Deque, Dict, Generator, Optional
 
 from ..bus.asb import TenureState
-from ..bus.types import BusResult, Priority, SnoopAction, Transaction
+from ..bus.types import Transaction
 from ..sim import Event
 from .atomic import AtomicFabric
 from .interfaces import FabricCapabilities
@@ -56,6 +57,8 @@ class SplitBus(AtomicFabric):
 
     #: default bound on outstanding data tenures
     DEFAULT_MAX_INFLIGHT = 4
+
+    pipelined_data = True
 
     def __init__(self, *args, max_inflight: int = DEFAULT_MAX_INFLIGHT, **kwargs):
         super().__init__(*args, **kwargs)
@@ -116,140 +119,28 @@ class SplitBus(AtomicFabric):
         else:
             self._outstanding -= 1
 
-    # -- the tenure ---------------------------------------------------------
-    def transact(
-        self,
-        txn: Transaction,
-        priority: Priority = Priority.NORMAL,
-        commit=None,
-        validate=None,
-    ) -> Generator:
-        """Run one address tenure; the data tenure retires in background.
+    # -- the tenure hook -----------------------------------------------------
+    def _pipeline_data(self, txn: Transaction, cycles: int) -> Generator:
+        """Reserve a data-tenure slot, then spawn the data tenure.
 
-        Returns at the end of the address phase (synchronously — see
-        the module docstring for why that is load-bearing for
-        coherence), with the data occupancy spawned as a chained
-        background process.
+        Runs after the master's commit, with the address bus held: the
+        bounded window's back-pressure point.  While it stalls here no
+        other master can snoop the just-committed line before the
+        caller's synchronous continuation.
         """
-        sim = self.sim
-        start = sim.now
-        stats = self.stats
-        master_key, busy_key = self._master_keys[txn.master]
-        stats.bump("bus.txns")
-        stats.bump(self._op_keys[txn.op])
-        stats.bump(master_key)
-        state = TenureState(txn.master, txn.op.value, txn.addr, start)
-        self._inflight[id(txn)] = state
-        held = False
-        try:
-            while True:
-                yield self.arbiter.request(txn.master, priority)
-                held = True
-                if validate is not None and not validate():
-                    self.arbiter.release(txn.master)
-                    held = False
-                    self._record_cancellation(txn)
-                    return None
-                tenure_start = sim.now
-                state.phase = "address"
-                state.since = tenure_start
-                arb_cycles = 0 if priority is Priority.DRAIN else self.arbitration_cycles
-                yield sim.timeout(
-                    self.clock.edge_then_cycles(sim.now, arb_cycles + self.address_cycles)
-                )
-                trace = self._trace_bus
-                if trace.enabled:
-                    trace.emit(
-                        sim.now, txn.master, "address-phase",
-                        op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
-                    )
-                replies = self._snoop_window(txn)
-                retriers = [
-                    (name, r) for name, r in replies if r.action is SnoopAction.RETRY
-                ]
-                if retriers:
-                    # ARTRY semantics as on the atomic bus: the address
-                    # tenure aborts; no data slot was consumed.
-                    stats.bump("bus.retries")
-                    if trace.enabled:
-                        trace.emit(sim.now, txn.master, "artry", addr=txn.addr)
-                    if self.retry_penalty_cycles:
-                        yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
-                    aborted = sim.now - tenure_start
-                    stats.bump("bus.busy_ticks", aborted)
-                    stats.bump(busy_key, aborted)
-                    self.arbiter.release(txn.master)
-                    held = False
-                    txn.retries += 1
-                    state.retries = txn.retries
-                    self._check_retry_ceiling(txn)
-                    state.phase = "backed-off"
-                    state.since = sim.now
-                    state.waiting_on = tuple(name for name, _ in retriers)
-                    yield sim.all_of([r.completion for _, r in retriers])
-                    state.waiting_on = ()
-                    state.phase = "arbitrating"
-                    state.since = sim.now
-                    priority = Priority.RETRY
-                    continue
-                shared = any(
-                    r.action in (SnoopAction.SHARED, SnoopAction.SUPPLY)
-                    for _, r in replies
-                )
-                supplier = next(
-                    (r for _, r in replies if r.action is SnoopAction.SUPPLY), None
-                )
-                # Coherence commit point: data movement and the
-                # master's state flip happen *now*, at the end of the
-                # address phase with the address bus held — identical
-                # serialisation to the atomic bus.  Only the data
-                # tenure's occupancy is deferred.
-                data, cycles = self._data_phase(txn, supplier)
-                result = BusResult(
-                    data=data,
-                    shared=shared,
-                    retries=txn.retries,
-                    start_time=start,
-                    end_time=sim.now,
-                    supplied=supplier is not None,
-                )
-                if commit is not None:
-                    commit(result)
-                if trace.enabled:
-                    trace.emit(
-                        sim.now, txn.master, "complete",
-                        op=txn.op.value, addr=txn.addr, shared=shared,
-                        supplied=result.supplied, retries=txn.retries,
-                    )
-                # Reserve a data-tenure slot before releasing the
-                # address bus: the bounded window's back-pressure
-                # point.  While we stall here the address bus stays
-                # held, so no other master can snoop the just-committed
-                # line before our caller's synchronous continuation.
-                # The slot's release lives in the spawned data tenure
-                # (the ownership transfer below); an exception between
-                # grant and spawn would leak it — accepted, since the
-                # fault matrix takes the platform down on such errors.
-                # repro: lint-ok[resource-release]
-                yield self._acquire_slot()
-                address_span = sim.now - tenure_start
-                stats.bump("bus.busy_ticks", address_span)
-                stats.bump(busy_key, address_span)
-                predecessor = self._data_tail
-                done = sim.event()
-                self._data_tail = done
-                sim.process(
-                    self._data_tenure(txn, cycles, predecessor, done),
-                    name=f"data-tenure:{txn.master}",
-                )
-                self.arbiter.release(txn.master)
-                held = False
-                self._note_completion(txn)
-                return result
-        finally:
-            del self._inflight[id(txn)]
-            if held:
-                self.arbiter.release(txn.master)
+        # The slot's release lives in the spawned data tenure (the
+        # ownership transfer below); an exception between grant and
+        # spawn would leak it — accepted, since the fault matrix takes
+        # the platform down on such errors.
+        # repro: lint-ok[resource-release]
+        yield self._acquire_slot()
+        predecessor = self._data_tail
+        done = self.sim.event()
+        self._data_tail = done
+        self.sim.process(
+            self._data_tenure(txn, cycles, predecessor, done),
+            name=f"data-tenure:{txn.master}",
+        )
 
     def _data_tenure(
         self,

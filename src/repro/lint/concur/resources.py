@@ -105,16 +105,6 @@ DEFAULT_RESOURCES: Tuple[ResourceSpec, ...] = (
         ceiling_anchors=("_check_retry_ceiling",),
     ),
     ResourceSpec(
-        id="bank-tenure",
-        kind="arbiter",
-        doc="one directory home bank's arbitration domain",
-        acquire_methods=("request",),
-        release_methods=("release",),
-        receiver=r"(^|\.)bank$",
-        cross_master=True,
-        ceiling_anchors=("_check_retry_ceiling",),
-    ),
-    ResourceSpec(
         id="cache-port",
         kind="mutex",
         doc="the cache tag/data port serialising processor vs drain access",

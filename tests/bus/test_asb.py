@@ -1,17 +1,22 @@
 """Unit tests for the ASB-like shared bus."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bus import (
     AsbBus,
     BusOp,
+    FixedPriorityArbiter,
     Priority,
     SnoopAction,
     SnoopReply,
     Snooper,
     Transaction,
 )
+from repro.core.platform import FABRIC_NAMES
 from repro.errors import BusError, LivelockError
+from repro.fabric import make_fabric
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
 
@@ -26,6 +31,58 @@ def make_bus(snoopers=(), **bus_kwargs):
     for snooper in snoopers:
         bus.attach_snooper(snooper)
     return sim, memory, bus
+
+
+def make_fabric_bus(fabric, **fabric_kwargs):
+    """One ``fabric`` built the way a platform builds it."""
+    sim = Simulator()
+    memory = MainMemory()
+    memory_map = MemoryMap([Region("ram", 0, 1 << 20)])
+    bus = make_fabric(
+        fabric,
+        sim,
+        Clock.from_mhz(50),
+        MemoryController(memory, memory_map),
+        arbiter_factory=lambda: FixedPriorityArbiter(sim),
+        **fabric_kwargs,
+    )
+    return sim, memory, bus
+
+
+def arbiters(bus):
+    """Every arbitration domain of ``bus``: the directory's home banks."""
+    return getattr(bus.arbiter, "banks", (bus.arbiter,))
+
+
+class HoldingController:
+    """Just enough cache controller for ``AsbBus.register_master``."""
+
+    def __init__(self, line_bytes=32):
+        self.geom = SimpleNamespace(line_bytes=line_bytes)
+        self.install_listeners = []
+        self.remove_listeners = []
+
+    def install(self, base):
+        for listener in self.install_listeners:
+            listener(base)
+
+
+def hold_line(bus, master, addr):
+    """Record ``master`` as holding ``addr``'s line, so every fabric
+    (the directory included) forwards that line's snoops to it."""
+    controller = HoldingController()
+    bus.register_master(master, controller)
+    controller.install(addr & ~31)
+
+
+@pytest.fixture
+def fabric():
+    """The fabric the shared tenure tests build.  The ``...OnOtherFabrics``
+    classes below rerun those tests on every other registered fabric."""
+    return "atomic"
+
+
+OTHER_FABRICS = [name for name in FABRIC_NAMES if name != "atomic"]
 
 
 def run_txn(sim, bus, txn, priority=Priority.NORMAL, commit=None):
@@ -247,8 +304,8 @@ class TestLiveness:
         assert state.retries == 1
         assert "waiting-on=owner" in state.describe()
 
-    def test_bus_released_when_tenure_raises(self):
-        sim, _memory, bus = make_bus()
+    def test_bus_released_when_tenure_raises(self, fabric):
+        sim, _memory, bus = make_fabric_bus(fabric)
 
         def bad_commit(_result):
             raise RuntimeError("commit exploded")
@@ -258,15 +315,15 @@ class TestLiveness:
         )
         proc.add_callback(lambda _e: None)  # swallow the failure
         sim.run()
-        # The arbiter must not be left held by the dead tenure...
-        assert bus.arbiter.holder is None
+        # No arbiter may be left held by the dead tenure...
+        assert [a.holder for a in arbiters(bus)] == [None] * len(arbiters(bus))
         assert bus.inflight_tenures() == []
         # ...so another master can still transact.
         result = run_txn(sim, bus, Transaction(BusOp.READ, 0x20, "n"))
         assert result is not None
 
-    def test_completions_count_tenures(self):
-        sim, _memory, bus = make_bus()
+    def test_completions_count_tenures(self, fabric):
+        sim, _memory, bus = make_fabric_bus(fabric)
         run_txn(sim, bus, Transaction(BusOp.READ, 0x0, "m"))
         run_txn(sim, bus, Transaction(BusOp.WRITE, 0x0, "m", data=1))
         assert bus.completions == 2
@@ -290,8 +347,8 @@ class TestStats:
 class TestCancellationAccounting:
     """Grant-time validate-cancels are not ARTRYs and count separately."""
 
-    def test_cancel_counts_separately_from_artry(self):
-        sim, _memory, bus = make_bus()
+    def test_cancel_counts_separately_from_artry(self, fabric):
+        sim, _memory, bus = make_fabric_bus(fabric)
         proc = sim.process(
             bus.transact(
                 Transaction(BusOp.READ, 0x0, "m"), validate=lambda: False
@@ -303,12 +360,12 @@ class TestCancellationAccounting:
         assert bus.stats.get("bus.retries") == 0
         assert bus.completions == 0
 
-    def test_cancellation_storm_raises_its_own_livelock(self):
+    def test_cancellation_storm_raises_its_own_livelock(self, fabric):
         # A master whose tenure premise keeps vanishing at grant time
         # makes no progress, but txn.retries never moves (no ARTRY is
         # involved) — the old ceiling was blind to it.  The message
         # must name the actual failure, not a retry loop.
-        sim, _memory, bus = make_bus(max_retries=5)
+        sim, _memory, bus = make_fabric_bus(fabric, max_retries=5)
 
         def driver():
             while True:
@@ -329,8 +386,8 @@ class TestCancellationAccounting:
         assert "ARTRY count: 0" in message
         assert "not an ARTRY retry loop" in message
 
-    def test_completion_resets_the_cancel_streak(self):
-        sim, _memory, bus = make_bus(max_retries=5)
+    def test_completion_resets_the_cancel_streak(self, fabric):
+        sim, _memory, bus = make_fabric_bus(fabric, max_retries=5)
 
         def driver():
             for _ in range(4):
@@ -348,18 +405,34 @@ class TestCancellationAccounting:
         assert bus.stats.get("bus.cancelled") == 8
         assert bus.completions == 1
 
-    def test_artry_ceiling_message_reports_cancel_count(self):
+    def test_artry_ceiling_message_reports_cancel_count(self, fabric):
         # The converse disagreement-proofing: an ARTRY livelock report
         # states how many grant-time cancels the master had, so the two
         # counters can never be conflated when reading a failure.
-        sim, _memory, bus = make_bus(max_retries=2)
+        sim, _memory, bus = make_fabric_bus(fabric, max_retries=2)
         bus.attach_snooper(StormSnooper(sim))
+        hold_line(bus, "owner", 0x40)
         sim.process(bus.transact(Transaction(BusOp.READ, 0x40, "m")))
         with pytest.raises(LivelockError) as exc_info:
             sim.run()
         message = str(exc_info.value)
         assert "livelocked retry loop" in message
         assert "validate-cancellations for m: 0" in message
+
+
+@pytest.mark.parametrize("fabric", OTHER_FABRICS)
+class TestCancellationAccountingOnOtherFabrics(TestCancellationAccounting):
+    """The same accounting through the split and directory tenures."""
+
+
+@pytest.mark.parametrize("fabric", OTHER_FABRICS)
+class TestTenureReleaseOnOtherFabrics:
+    """Release-on-raise and completion counting on every other fabric."""
+
+    test_bus_released_when_tenure_raises = (
+        TestLiveness.test_bus_released_when_tenure_raises
+    )
+    test_completions_count_tenures = TestLiveness.test_completions_count_tenures
 
 
 class TestDetachDuringSnoopWindow:

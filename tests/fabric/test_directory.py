@@ -1,10 +1,16 @@
 """Directory fabric: presence tracking, forwarding, home banks."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.bus import FixedPriorityArbiter
 from repro.core.platform import Platform, PlatformConfig
 from repro.cpu.presets import preset_generic
+from repro.errors import ConfigError
 from repro.fabric import BankedArbiter, DirectoryFabric
+from repro.mem import MainMemory, MemoryController, MemoryMap, Region
+from repro.sim import Clock, Simulator
 from repro.verify.checker import CoherenceChecker
 from repro.workloads.tracegen import false_sharing_traces, replay_parallel
 
@@ -67,15 +73,47 @@ class TestBanks:
         bus = platform.bus
         base = 0x2000
         for offset in (0, 4, 8, 28):
-            assert bus._bank_for(base + offset) is bus._bank_for(base)
+            assert bus._arbiter_for(base + offset) is bus._arbiter_for(base)
 
     def test_different_homes_use_different_banks(self):
         platform = _platform(n=2)
         bus = platform.bus
-        banks = {id(bus._bank_for(0x20000 + i * 32)) for i in range(8)}
+        banks = {id(bus._arbiter_for(0x20000 + i * 32)) for i in range(8)}
         assert len(banks) == DirectoryFabric.DEFAULT_BANKS
 
     @pytest.mark.parametrize("discipline", ("fcfs", "priority", "round-robin"))
     def test_every_discipline_builds_the_banks(self, discipline):
         platform = _platform(arbitration=discipline)
         assert len(platform.bus.arbiter.banks) == DirectoryFabric.DEFAULT_BANKS
+
+
+class TestLineSize:
+    """The home-bank hash and the presence map share one line size."""
+
+    @staticmethod
+    def _fabric(line_bytes):
+        sim = Simulator()
+        memory_map = MemoryMap([Region("ram", 0, 1 << 20)])
+        return DirectoryFabric(
+            sim,
+            Clock.from_mhz(50),
+            MemoryController(MainMemory(), memory_map),
+            arbiter_factory=lambda: FixedPriorityArbiter(sim),
+            line_bytes=line_bytes,
+        )
+
+    def test_cache_with_another_line_size_is_refused(self):
+        fabric = self._fabric(32)
+        controller = SimpleNamespace(
+            geom=SimpleNamespace(line_bytes=64),
+            install_listeners=[],
+            remove_listeners=[],
+        )
+        with pytest.raises(ConfigError, match="64-byte lines"):
+            fabric.register_master("p0", controller)
+        assert controller.install_listeners == []
+
+    def test_both_halves_of_a_line_share_its_home_bank(self):
+        fabric = self._fabric(64)
+        assert fabric._arbiter_for(0x1000) is fabric._arbiter_for(0x1020)
+        assert fabric._arbiter_for(0x1000) is not fabric._arbiter_for(0x1040)

@@ -90,6 +90,28 @@ class TestInflightWindow:
         assert max(peak) <= 1
         assert bus.stats.get("fabric.split.window_stalls") >= 1
 
+    def test_window_stall_reads_as_address_phase(self):
+        # m1 wins the address bus at t=40 while m0's data tenure holds
+        # the only slot; it stalls, still in its address phase, until
+        # that tenure retires at t=300.
+        sim, bus = make_split(max_inflight=1)
+
+        def master(name, addr):
+            yield from bus.transact(Transaction(BusOp.READ_LINE, addr, name))
+
+        sim.process(master("m0", 0x0))
+        sim.process(master("m1", 0x100))
+        sim.run(until=200, detect_deadlock=False)
+        assert bus.snapshot()["window_waiters"] == 1
+        assert [t.describe() for t in bus.inflight_tenures()] == [
+            "m1 read-line @0x00000100 address since t=40",
+            "m0 read-line @0x00000000 data since t=40",
+        ]
+        sim.run(until=301, detect_deadlock=False)
+        assert [t.describe() for t in bus.inflight_tenures()] == [
+            "m1 read-line @0x00000100 data since t=300",
+        ]
+
     def test_wide_window_never_stalls_this_workload(self):
         sim, bus = make_split(max_inflight=16)
 
