@@ -22,31 +22,24 @@ Commands
     mix (use ``none`` for a processor without coherence hardware).
 ``bench SCENARIO SOLUTION``
     Run one microbenchmark configuration and print its statistics.
-``bench hotpath``
-    Run the simulator hot-path suite (kernel events/sec, cache array
-    lookups/sec, disabled-trace emits/sec, Table-2 end-to-end wall
-    time) and print a comparison against the committed
-    ``BENCH_hotpath.json`` baseline.  ``--quick`` shrinks the workload
-    for smoke runs; ``--check`` exits non-zero on a regression.
-``bench scaleout``
-    Run the N-master scaling sweep (2/4/8/16 masters x FCFS / static
-    priority / round-robin arbitration over a mixed-protocol platform)
-    and print the scaling figure against the committed
-    ``BENCH_scaleout.json`` baseline.  All metrics are simulated, so
-    ``--check`` compares exactly by default.
-``bench fabrics``
-    Run the coherence-fabric sweep (2/4/8/16 masters x atomic snoopy /
-    split-transaction / directory fabrics over the same mixed-protocol
-    platform) and print the fabric figure — including the
-    snoopy-vs-directory headline — against the committed
-    ``BENCH_fabrics.json`` baseline.  All metrics are simulated, so
-    ``--check`` compares exactly by default.
-``bench service``
-    Run the campaign-service saturation study (dedup under concurrent
-    clients, load shedding at a starved fleet, cache replay) and
-    compare its deterministic admission counters against the committed
-    ``BENCH_service.json`` baseline.  ``--quick`` shrinks the probe
-    flood; ``--check`` exits non-zero on drift.
+``bench {hotpath,scaleout,fabrics,service}``
+    Run one committed-baseline suite (:mod:`repro.exp.benchsuite`) and
+    print it against its ``BENCH_<suite>.json`` at the repository root:
+    ``hotpath`` times the simulator hot paths (kernel events/sec, cache
+    array lookups/sec, disabled-trace emits/sec, Table-2 end-to-end
+    wall time, exact vs batch throughput); ``scaleout`` and ``fabrics``
+    are the interconnect studies (2/4/8/16 masters x the FCFS / static
+    priority / round-robin disciplines, or x the atomic snoopy /
+    split-transaction / directory fabrics, over a mixed-protocol
+    platform, with the snoopy-vs-directory headline); ``service`` is
+    the campaign-service saturation study (dedup under concurrent
+    clients, load shedding at a starved fleet, cache replay).
+    ``--quick`` shrinks the workload for smoke runs; ``--check`` exits
+    1 when a checked value drifts (exactly for the simulated and
+    counter suites, beyond ``--tolerance`` for hotpath wall clock) and
+    2 when the baseline is missing, corrupt or not comparable;
+    ``--output PATH`` writes the result document, so re-baselining is
+    ``bench <suite> --output BENCH_<suite>.json``.
 ``serve``
     Boot the crash-safe campaign job service (:mod:`repro.service`):
     a stdlib asyncio HTTP API that accepts sweep / fuzz / shrink jobs
@@ -111,12 +104,12 @@ from .core.deadlock import SOLUTIONS, run_deadlock_demo
 from .core.reduction import reduce_protocols
 from .errors import ConfigError, IntegrationError, ReproError
 from .exp import SweepRunner
+from .exp.benchsuite import SUITE_NAMES, run_bench
 from .fuzz.cli import add_fuzz_arguments, run_fuzz
 from .lint.cli import add_lint_arguments, run_lint
 from .service.cli import (
     add_serve_arguments,
     add_submit_arguments,
-    run_bench_service,
     run_serve,
     run_submit,
 )
@@ -201,28 +194,27 @@ def _build_parser() -> argparse.ArgumentParser:
     add_submit_arguments(p)
 
     p = sub.add_parser("bench", help="run one microbenchmark configuration")
-    p.add_argument("scenario",
-                   choices=("wcs", "tcs", "bcs", "hotpath", "scaleout",
-                            "fabrics", "service"))
+    p.add_argument("scenario", choices=("wcs", "tcs", "bcs") + SUITE_NAMES)
     p.add_argument("solution", nargs="?", default=None,
                    choices=("disabled", "software", "proposed"))
     p.add_argument("--lines", type=int, default=8)
     p.add_argument("--exec-time", type=int, default=1)
     p.add_argument("--iterations", type=int, default=8)
     p.add_argument("--check", action="store_true",
-                   help="attach the coherence checker (hotpath/scaleout/fabrics: "
-                        "fail on regression vs the baseline)")
+                   help="attach the coherence checker (suites: fail on "
+                        "drift or regression vs the baseline)")
     p.add_argument("--quick", action="store_true",
-                   help="hotpath/scaleout/fabrics: reduced workload for smoke runs")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="hotpath only: best-of-N timing repeats")
+                   help="suites: reduced workload for smoke runs")
     p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="hotpath/scaleout/fabrics: baseline JSON (default: the "
-                        "committed BENCH_*.json)")
+                   help="suites: baseline JSON (default: the committed "
+                        "BENCH_<suite>.json)")
+    p.add_argument("--output", default=None, metavar="PATH",
+                   help="suites: write the result document here")
+    p.add_argument("--repeats", type=int, default=None,
+                   help="hotpath only: best-of-N timing repeats (default: 3)")
     p.add_argument("--tolerance", type=float, default=None,
-                   help="allowed drift before --check fails (default: "
-                        "0.25 for hotpath wall-clock, exact for the "
-                        "simulated scaleout/fabrics metrics)")
+                   help="hotpath only: allowed fractional slowdown before "
+                        "--check fails (default: 0.25)")
     return parser
 
 
@@ -338,134 +330,9 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_bench_hotpath(args) -> int:
-    from pathlib import Path
-
-    from .exp import hotpath
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        for candidate in (
-            Path.cwd() / hotpath.BENCH_FILE,
-            Path(__file__).resolve().parents[2] / hotpath.BENCH_FILE,
-        ):
-            if candidate.is_file():
-                baseline_path = str(candidate)
-                break
-    baseline = hotpath.load_results(baseline_path) if baseline_path else None
-    if args.check and baseline is None:
-        # A regression check without a baseline cannot pass vacuously:
-        # CI relying on this exit code must notice the missing file.
-        print("bench hotpath --check: no baseline found -- run "
-              "benchmarks/bench_hotpath.py to commit one", file=sys.stderr)
-        return 2
-    current = hotpath.run_suite(quick=args.quick, repeats=args.repeats)
-    print(hotpath.render_comparison(current, baseline))
-    if baseline is None:
-        print("(no baseline found -- run benchmarks/bench_hotpath.py to commit one)")
-        return 0
-    if args.check:
-        mismatches = hotpath.baseline_mismatch(current, baseline)
-        if mismatches:
-            # Not a regression: the numbers are simply not comparable.
-            for mismatch in mismatches:
-                print(f"bench hotpath --check: {mismatch}", file=sys.stderr)
-            print("bench hotpath --check: re-record the baseline under "
-                  "this engine/implementation to compare", file=sys.stderr)
-            return 2
-        tolerance = 0.25 if args.tolerance is None else args.tolerance
-        failures = hotpath.check_regression(current, baseline, tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression beyond {tolerance:.0%} tolerance")
-    return 0
-
-
-def _cmd_bench_scaleout(args) -> int:
-    from pathlib import Path
-
-    from .exp import scaleout
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        for candidate in (
-            Path.cwd() / scaleout.BENCH_FILE,
-            Path(__file__).resolve().parents[2] / scaleout.BENCH_FILE,
-        ):
-            if candidate.is_file():
-                baseline_path = str(candidate)
-                break
-    baseline = scaleout.load_results(baseline_path) if baseline_path else None
-    if args.check and baseline is None:
-        print("bench scaleout --check: no baseline found -- run "
-              "benchmarks/bench_scaleout.py to commit one", file=sys.stderr)
-        return 2
-    current = scaleout.run_suite(quick=args.quick)
-    print(scaleout.render_comparison(current, baseline))
-    if baseline is None:
-        print("(no baseline found -- run benchmarks/bench_scaleout.py "
-              "to commit one)")
-        return 0
-    if args.check:
-        # Simulated metrics: exact comparison unless loosened explicitly.
-        tolerance = 0.0 if args.tolerance is None else args.tolerance
-        failures = scaleout.check_regression(current, baseline, tolerance)
-        if failures:
-            for failure in failures:
-                print(f"SCALING DRIFT {failure}", file=sys.stderr)
-            return 1
-        print("all shared points match the baseline")
-    return 0
-
-
-def _cmd_bench_fabrics(args) -> int:
-    from pathlib import Path
-
-    from .exp import fabrics
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        for candidate in (
-            Path.cwd() / fabrics.BENCH_FILE,
-            Path(__file__).resolve().parents[2] / fabrics.BENCH_FILE,
-        ):
-            if candidate.is_file():
-                baseline_path = str(candidate)
-                break
-    baseline = fabrics.load_results(baseline_path) if baseline_path else None
-    if args.check and baseline is None:
-        print("bench fabrics --check: no baseline found -- run "
-              "benchmarks/bench_fabrics.py to commit one", file=sys.stderr)
-        return 2
-    current = fabrics.run_suite(quick=args.quick)
-    print(fabrics.render_comparison(current, baseline))
-    if baseline is None:
-        print("(no baseline found -- run benchmarks/bench_fabrics.py "
-              "to commit one)")
-        return 0
-    if args.check:
-        # Simulated metrics: exact comparison unless loosened explicitly.
-        tolerance = 0.0 if args.tolerance is None else args.tolerance
-        failures = fabrics.check_regression(current, baseline, tolerance)
-        if failures:
-            for failure in failures:
-                print(f"FABRIC DRIFT {failure}", file=sys.stderr)
-            return 1
-        print("all shared points match the baseline")
-    return 0
-
-
 def _cmd_bench(args) -> int:
-    if args.scenario == "hotpath":
-        return _cmd_bench_hotpath(args)
-    if args.scenario == "scaleout":
-        return _cmd_bench_scaleout(args)
-    if args.scenario == "fabrics":
-        return _cmd_bench_fabrics(args)
-    if args.scenario == "service":
-        return run_bench_service(args)
+    if args.scenario in SUITE_NAMES:
+        return run_bench(args)
     if args.solution is None:
         print(f"bench {args.scenario}: a solution "
               "(disabled/software/proposed) is required", file=sys.stderr)

@@ -7,7 +7,8 @@ protocol pair of the paper's Table 2 running the WCS critical-section
 kernel) and the cross-engine throughput of the reference workload
 (exact vs batch, see ``docs/engines.md``).  Results are written to
 ``BENCH_hotpath.json`` at the repo root so successive PRs accumulate a
-performance trajectory, and the CI ``perf-smoke`` job fails on
+performance trajectory (the written document keeps the numbers it
+replaced under ``previous``), and the CI ``perf-smoke`` job fails on
 regressions against the committed baseline.
 
 Result documents are **schema 2**: tagged with the execution engine
@@ -15,17 +16,14 @@ Result documents are **schema 2**: tagged with the execution engine
 only comparable like-for-like — a CPython baseline checked against a
 PyPy run, or an exact baseline against a batch run, would "regress" or
 "improve" meaninglessly — so :func:`baseline_mismatch` refuses
-cross-engine and cross-implementation comparisons, and the check paths
-exit with status 2 on them.
-
-The functions here are import-safe for both the ``benchmarks/`` script
-and the ``repro bench hotpath`` CLI subcommand; they depend only on the
-standard library and the package itself.
+cross-engine and cross-implementation comparisons, and ``repro bench
+hotpath --check`` exits with status 2 on them.  The loader, the
+tolerance checker and the writer are the shared ones of
+:mod:`repro.exp.benchsuite`.
 """
 
 from __future__ import annotations
 
-import json
 import platform as _platform
 import sys
 import time
@@ -35,17 +33,14 @@ from ..cache.array import CacheArray, CacheGeometry
 from ..cache.line import State
 from ..cache.protocols import make_protocol
 from ..sim import Simulator, Tracer
+from .benchsuite import Suite, check_tolerance
 
 __all__ = [
-    "BENCH_FILE",
+    "SUITES",
     "run_suite",
     "render_comparison",
-    "check_regression",
     "baseline_mismatch",
 ]
-
-#: canonical result file name (at the repository root)
-BENCH_FILE = "BENCH_hotpath.json"
 
 #: metrics where larger is better (rates); wall times are inverted
 RATE_METRICS = (
@@ -327,21 +322,17 @@ def baseline_mismatch(
     return problems
 
 
-def check_regression(
-    current: Dict[str, Any], baseline: Dict[str, Any], tolerance: float = 0.25
-) -> list[str]:
-    """Metrics of ``current`` more than ``tolerance`` worse than baseline."""
-    failures = []
-    for key, ratio in speedups(current, baseline).items():
-        if ratio < 1.0 - tolerance:
-            failures.append(f"{key}: {ratio:.2f}x of baseline (floor {1.0 - tolerance:.2f}x)")
-    return failures
-
-
-def load_results(path: str) -> Optional[Dict[str, Any]]:
-    """Parse a previously written result file (None when absent)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+#: the suite table entry :mod:`repro.exp.benchsuite` drives
+SUITES = {
+    "hotpath": Suite(
+        name="hotpath",
+        run=lambda quick, repeats: run_suite(quick=quick, repeats=repeats),
+        render=render_comparison,
+        check=lambda current, baseline, tolerance: check_tolerance(
+            speedups(current, baseline), tolerance
+        ),
+        mismatch=baseline_mismatch,
+        tolerance=0.25,
+        previous=("metrics", "python", "impl", "engine", "quick"),
+    ),
+}

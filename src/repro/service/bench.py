@@ -21,15 +21,15 @@ Wall-clock numbers (throughput, drain time) are recorded for humans
 but **excluded** from the regression check: only structural counters —
 jobs accepted, deduped, answered from cache, completed, whether
 shedding engaged — are compared, and those are deterministic, so the
-committed ``BENCH_service.json`` is checked exactly.
-
-:func:`run_smoke` is the CI gate: the ``overlap`` level plus hard
-assertions (dedup exact, one simulation per unique job, clean drain).
+committed ``BENCH_service.json`` is checked exactly.  The check also
+holds the run's own ``overlap`` level to the admission arithmetic
+(:func:`check`: one simulation per unique job, every duplicate
+deduped, nothing failed, shed or answered from cache); a service that
+does not drain cleanly fails the run itself.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
@@ -38,21 +38,17 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import IntegrationError
+from ..exp.benchsuite import Suite, check_exact
 from .client import ServiceClient, ServiceHTTPError
 from .config import ServiceConfig
 
 __all__ = [
-    "BENCH_FILE",
+    "SUITES",
     "ServiceHarness",
     "run_suite",
-    "run_smoke",
     "render_comparison",
-    "check_regression",
-    "load_results",
+    "check",
 ]
-
-#: canonical result file name (at the repository root)
-BENCH_FILE = "BENCH_service.json"
 
 #: the overlapping campaign: sweeps + fuzz cases, all deterministic
 def overlap_campaign() -> List[Dict[str, Any]]:
@@ -315,79 +311,39 @@ CHECKED_FIELDS = {
 }
 
 
-def _index(document: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    return {lvl["level"]: lvl for lvl in document.get("levels", [])}
-
-
 def render_comparison(
     current: Dict[str, Any], baseline: Optional[Dict[str, Any]] = None
 ) -> str:
+    """The checked counters and wall time of every level.
+
+    Drift from ``baseline`` is reported by :func:`check`, not here.
+    """
     lines = [
         f"service suite (quick={current.get('quick')}, "
         f"py {current.get('python')})"
     ]
-    base = _index(baseline) if baseline else {}
-    for level in current.get("levels", []):
+    for level in current["levels"]:
         name = level["level"]
         fields = ", ".join(
-            f"{key}={level[key]}"
-            for key in CHECKED_FIELDS.get(name, ())
+            f"{key}={level[key]}" for key in CHECKED_FIELDS[name]
         )
-        verdict = ""
-        if name in base:
-            drift = [
-                key
-                for key in CHECKED_FIELDS.get(name, ())
-                if level.get(key) != base[name].get(key)
-            ]
-            verdict = (
-                "  [matches baseline]" if not drift
-                else f"  [DRIFT: {', '.join(drift)}]"
-            )
         lines.append(f"  {name:<11} {fields}")
-        lines.append(f"  {'':<11} wall={level['wall_s']}s{verdict}")
+        lines.append(f"  {'':<11} wall={level['wall_s']}s")
     return "\n".join(lines)
 
 
-def check_regression(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> List[str]:
-    """Checked-field mismatches vs the baseline (exact; see module doc)."""
-    failures: List[str] = []
-    base = _index(baseline)
-    for level in current.get("levels", []):
-        name = level["level"]
-        if name not in base:
-            continue
-        for key in CHECKED_FIELDS.get(name, ()):
-            got, want = level.get(key), base[name].get(key)
-            if got != want:
-                failures.append(f"{name}.{key}: {got!r} != baseline {want!r}")
-    return failures
+def check(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
+    """The run's admission arithmetic, then its counters vs baseline.
 
-
-def load_results(path: str) -> Optional[Dict[str, Any]]:
-    """Parse a previously written result file (None when absent)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def run_smoke(n_clients: int = 3) -> List[str]:
-    """The CI gate: overlap level + hard assertions.
-
-    Returns a list of failures (empty = pass): N concurrent clients
-    submitting the same sweep+fuzz campaign must simulate each unique
-    job exactly once, dedup every other submission, and the service
-    must drain cleanly afterwards.
+    N concurrent clients submitting the same sweep+fuzz campaign must
+    simulate each unique job exactly once and dedup every other
+    submission, on a fresh data directory with nothing failed or shed;
+    every :data:`CHECKED_FIELDS` counter must then equal the baseline's.
     """
-    with tempfile.TemporaryDirectory(prefix="service-smoke-") as tmp:
-        level = _level_overlap(tmp, n_clients=n_clients, workers=2)
-    failures: List[str] = []
+    level = next(lvl for lvl in current["levels"] if lvl["level"] == "overlap")
     unique = level["unique_jobs"]
-    offered = n_clients * level["jobs_per_client"]
+    offered = level["clients"] * level["jobs_per_client"]
+    failures: List[str] = []
     if level["completed"] != unique:
         failures.append(
             f"expected exactly {unique} simulations, saw {level['completed']}"
@@ -410,4 +366,21 @@ def run_smoke(n_clients: int = 3) -> List[str]:
         )
     if level["shed"]:
         failures.append(f"unexpected shedding: {level['shed']}")
-    return failures
+    return failures + check_exact(
+        current,
+        baseline,
+        records="levels",
+        key=("level",),
+        fields=lambda record: CHECKED_FIELDS[record["level"]],
+    )
+
+
+#: the suite table entry :mod:`repro.exp.benchsuite` drives
+SUITES = {
+    "service": Suite(
+        name="service",
+        run=lambda quick, repeats: run_suite(quick=quick),
+        render=render_comparison,
+        check=lambda current, baseline, tolerance: check(current, baseline),
+    ),
+}
