@@ -58,9 +58,11 @@ class Arbiter:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._queues: dict[Priority, Deque[Tuple[str, Event]]] = {
-            level: deque() for level in Priority
-        }
+        #: one FIFO of (master, grant) per band, in band order: a
+        #: ``Priority`` indexes it directly, with no enum hashing
+        self._bands: Tuple[Deque[Tuple[str, Event]], ...] = tuple(
+            deque() for _level in Priority
+        )
         self._holder: Optional[str] = None
         self.grants = 0
         #: per-master grant counts — the fairness study's raw data
@@ -79,7 +81,7 @@ class Arbiter:
     def request(self, master: str, priority: Priority = Priority.NORMAL) -> Event:
         """Queue a bus request; the returned event fires on grant."""
         grant = self.sim.event()
-        self._queues[priority].append((master, grant))
+        self._bands[priority].append((master, grant))
         if not self.busy:
             self._grant_next()
         return grant
@@ -93,7 +95,7 @@ class Arbiter:
 
     def pending(self) -> int:
         """Number of queued requests across all levels."""
-        return sum(len(q) for q in self._queues.values())
+        return sum(len(q) for q in self._bands)
 
     def snapshot(self) -> dict:
         """Diagnostic view: holder, grant count, queued masters per band."""
@@ -102,7 +104,7 @@ class Arbiter:
             "grants": self.grants,
             "queued": {
                 level.name.lower(): [master for master, _ in queue]
-                for level, queue in self._queues.items()
+                for level, queue in zip(Priority, self._bands)
             },
         }
 
@@ -118,6 +120,20 @@ class Arbiter:
         grant.succeed(master)
 
     def _select(self) -> Optional[Tuple[str, Event]]:
+        # DRAIN and RETRY are always FIFO; the discipline picks in NORMAL.
+        drain, retry, normal = self._bands
+        if drain:
+            return drain.popleft()
+        if retry:
+            return retry.popleft()
+        if normal:
+            return self._select_normal(normal)
+        return None
+
+    def _select_normal(
+        self, queue: Deque[Tuple[str, Event]]
+    ) -> Optional[Tuple[str, Event]]:
+        """Remove and return the NORMAL request to grant (``queue`` is non-empty)."""
         raise NotImplementedError
 
 
@@ -129,12 +145,8 @@ class FixedPriorityArbiter(Arbiter):
     served arrival order.
     """
 
-    def _select(self) -> Optional[Tuple[str, Event]]:
-        for level in Priority:
-            queue = self._queues[level]
-            if queue:
-                return queue.popleft()
-        return None
+    def _select_normal(self, queue: Deque[Tuple[str, Event]]) -> Tuple[str, Event]:
+        return queue.popleft()
 
 
 class MasterPriorityArbiter(Arbiter):
@@ -171,14 +183,7 @@ class MasterPriorityArbiter(Arbiter):
         self._rank_of(master)  # register before selection runs
         return super().request(master, priority)
 
-    def _select(self) -> Optional[Tuple[str, Event]]:
-        for level in (Priority.DRAIN, Priority.RETRY):
-            queue = self._queues[level]
-            if queue:
-                return queue.popleft()
-        queue = self._queues[Priority.NORMAL]
-        if not queue:
-            return None
+    def _select_normal(self, queue: Deque[Tuple[str, Event]]) -> Tuple[str, Event]:
         best_index = min(
             range(len(queue)), key=lambda i: self._rank_of(queue[i][0])
         )
@@ -232,14 +237,9 @@ class RoundRobinArbiter(Arbiter):
         self._idle_selections[master] = 0
         return super().request(master, priority)
 
-    def _select(self) -> Optional[Tuple[str, Event]]:
-        for level in (Priority.DRAIN, Priority.RETRY):
-            queue = self._queues[level]
-            if queue:
-                return queue.popleft()
-        queue = self._queues[Priority.NORMAL]
-        if not queue:
-            return None
+    def _select_normal(
+        self, queue: Deque[Tuple[str, Event]]
+    ) -> Optional[Tuple[str, Event]]:
         # Oldest queued request per master (a master can only have one
         # NORMAL request outstanding, but the map keeps this robust).
         queued: Dict[str, int] = {}

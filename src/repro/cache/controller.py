@@ -181,11 +181,22 @@ class CacheController:
         # attribute load on the hot processor-access path.
         self._trace_mem = self.tracer.channel("mem")
         self._trace_cache = self.tracer.channel("cache")
-        # Hot stat keys, interned once instead of one f-string per access.
+        # Stat keys, built once instead of one f-string per bump.
         self._stat_hits = f"{name}.hits"
         self._stat_read_misses = f"{name}.read_misses"
         self._stat_write_misses = f"{name}.write_misses"
         self._stat_fills = f"{name}.fills"
+        # The cold keys share one dict: as attributes they would push the
+        # controller past CPython's shared-key limit (about 30 instance
+        # attributes), which slows every attribute access on it.
+        self._stat_keys = {
+            key: f"{name}.{key}"
+            for key in (
+                "uncached_writes", "uncached_reads", "writebacks", "drains",
+                "drain_redirties", "write_throughs", "upgrades",
+                "upgrade_races", "updates", "evictions", "flushes",
+            )
+        }
         self.enabled = enabled
         #: whether this cache participates in bus snooping (False models
         #: the ARM920T: a write-back cache with no coherence hardware)
@@ -246,7 +257,7 @@ class CacheController:
                 yield from self._transact(
                     Transaction(BusOp.WRITE, addr, self.name, data=value)
                 )
-                self.stats.bump(f"{self.name}.uncached_writes")
+                self.stats.bump(self._stat_keys["uncached_writes"])
         else:
             yield self.port.acquire()
             try:
@@ -306,7 +317,7 @@ class CacheController:
                     ),
                     commit=commit,
                 )
-                self.stats.bump(f"{self.name}.writebacks")
+                self.stats.bump(self._stat_keys["writebacks"])
         finally:
             self.port.release()
 
@@ -405,7 +416,7 @@ class CacheController:
             if not line.is_valid:
                 return
             if tuple(line.data) != snapshot:
-                self.stats.bump(f"{self.name}.drain_redirties")
+                self.stats.bump(self._stat_keys["drain_redirties"])
                 return
             self._apply_snoop_state(base, line, next_state)
 
@@ -417,7 +428,7 @@ class CacheController:
             priority=Priority.DRAIN,
             commit=commit,
         )
-        self.stats.bump(f"{self.name}.drains")
+        self.stats.bump(self._stat_keys["drains"])
 
     # ------------------------------------------------------------------
     # internals
@@ -428,7 +439,7 @@ class CacheController:
             # Tightly-coupled register (coprocessor-style): no bus tenure.
             return device.read_word(addr)
         result = yield from self._transact(Transaction(BusOp.READ, addr, self.name))
-        self.stats.bump(f"{self.name}.uncached_reads")
+        self.stats.bump(self._stat_keys["uncached_reads"])
         return result.data
 
     def _local_device(self, addr: int):
@@ -456,7 +467,7 @@ class CacheController:
         plan = write_miss_plan(self._protocol_for(region))
         if plan is WriteMiss.WRITE_THROUGH:
             yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
-            self.stats.bump(f"{self.name}.write_throughs")
+            self.stats.bump(self._stat_keys["write_throughs"])
             return
         if plan is WriteMiss.FILL_THEN_HIT:
             # Fill shared, then write (which broadcasts when sharers exist).
@@ -480,7 +491,7 @@ class CacheController:
         if action is WriteAction.WRITE_THROUGH:
             line.data[offset] = value
             yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
-            self.stats.bump(f"{self.name}.write_throughs")
+            self.stats.bump(self._stat_keys["write_throughs"])
             return
         if action is WriteAction.UPDATE:
             # Dragon-style broadcast: patch sharers, then settle between
@@ -507,11 +518,11 @@ class CacheController:
             # the hardware's lost-upgrade-to-RWITM conversion.
             validate=lambda: line.is_valid,
         )
-        self.stats.bump(f"{self.name}.upgrades")
+        self.stats.bump(self._stat_keys["upgrades"])
         if not upgraded:
             # The line was snatched (invalidated by a competing RWITM)
             # between our decision and our bus grant: redo as a miss.
-            self.stats.bump(f"{self.name}.upgrade_races")
+            self.stats.bump(self._stat_keys["upgrade_races"])
             region = self.map.find(addr)
             line = yield from self._fill(addr, region, exclusive=True)
             line.data[offset] = value
@@ -531,7 +542,7 @@ class CacheController:
         yield from self._transact(
             Transaction(BusOp.UPDATE, addr, self.name, data=value), commit=commit
         )
-        self.stats.bump(f"{self.name}.updates")
+        self.stats.bump(self._stat_keys["updates"])
         if not done:
             # The line vanished (snooped away) mid-broadcast: redo as a
             # plain miss-and-write.
@@ -589,7 +600,7 @@ class CacheController:
                 ),
                 commit=commit,
             )
-            self.stats.bump(f"{self.name}.writebacks")
+            self.stats.bump(self._stat_keys["writebacks"])
             if victim.is_valid:
                 # A concurrent drain beat us to the state change; the way
                 # may already be empty — make sure it is.
@@ -598,7 +609,7 @@ class CacheController:
             victim.state = State.INVALID
             self._set_removed(victim_addr, way)
             self._notify_remove(victim_addr, "evict")
-        self.stats.bump(f"{self.name}.evictions")
+        self.stats.bump(self._stat_keys["evictions"])
 
     def _set_removed(self, victim_addr: int, way: int) -> None:
         self.array.release_way(victim_addr, way)
@@ -623,11 +634,11 @@ class CacheController:
                 priority=priority,
                 commit=commit,
             )
-            self.stats.bump(f"{self.name}.writebacks")
+            self.stats.bump(self._stat_keys["writebacks"])
         else:
             self.array.remove(base)
             self._notify_remove(base, "dcbf")
-        self.stats.bump(f"{self.name}.flushes")
+        self.stats.bump(self._stat_keys["flushes"])
 
     def _apply_snoop_state(self, base: int, line: CacheLine, next_state: State) -> None:
         if next_state is State.INVALID:

@@ -20,12 +20,16 @@ bypass the time heap entirely: a plain FIFO run queue holds them, and
 the scheduler drains heap entries due at the current time before the
 FIFO.  Ordering is unchanged — see ``docs/timing-model.md`` ("kernel
 fast path & determinism guarantees") for the argument.
+
+A process also fires the event it yields in place when the scheduler
+would provably fire it next (inline dispatch, same document).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from sys import maxsize
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
@@ -93,11 +97,21 @@ class Event:
         self.sim._fifo.append(self)
 
     def _fire(self) -> None:
-        """Invoked by the simulator when this event's turn arrives."""
+        """Invoked by the simulator when this event's turn arrives.
+
+        The last callback runs with ``_callbacks`` empty and the others
+        with it non-empty, so a callback can tell whether any is left to
+        run after it (inline dispatch needs none left).
+        """
         self._triggered = True
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._callbacks
+        if callbacks:
+            last = callbacks.pop()
+            if callbacks:
+                for callback in callbacks:
+                    callback(self)
+                callbacks.clear()
+            last(self)
 
     # -- waiting ----------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -212,58 +226,89 @@ class Process(Event):
                 pass
         self._waiting_on = None
         wake = Event(self.sim)
-        wake.add_callback(lambda _e: self._throw(Interrupt(cause)))
-        wake.succeed()
+        wake.add_callback(self._resume)
+        wake.fail(Interrupt(cause))
 
     # -- driving ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._triggered or self._scheduled:  # pragma: no cover - defensive
+        """Drive the generator from ``event`` until it has to wait.
+
+        A yielded event that already fired resumes the generator at once.
+        So does one that :meth:`Simulator.run` would provably fire next
+        with this process as its only waiter: it is fired here, in place
+        (inline dispatch).  Any other event parks the process.  One call
+        thus runs a process through any number of events, without
+        recursion.
+        """
+        if self._triggered or self._scheduled:  # interrupted after it ended
             return
         self._waiting_on = None
-        # Advance the generator directly — no per-step closure.  This
-        # runs once per event a process waits on, so the lambda that
-        # used to wrap send/throw was pure allocation overhead.
-        try:
-            if event._ok:
-                target = self.generator.send(event.value)
-            else:
-                target = self.generator.throw(event.value)
-        except StopIteration as stop:
-            self._trigger(stop.value, ok=True)
-            return
-        except BaseException as exc:
-            if self._callbacks:
-                self._trigger(exc, ok=False)
+        sim = self.sim
+        waker = event
+        while True:
+            while True:
+                try:
+                    if event._ok:
+                        target = self.generator.send(event.value)
+                    else:
+                        target = self.generator.throw(event.value)
+                except StopIteration as stop:
+                    self._trigger(stop.value, ok=True)
+                    return
+                except BaseException as exc:
+                    if self._callbacks:
+                        self._trigger(exc, ok=False)
+                        return
+                    raise
+                # Inline dispatch: go on only if run() would pop
+                # ``target`` next and run nothing else first.  Each failed
+                # test breaks out to park.  The head-identity tests fail
+                # cheapest (another master's event is usually ahead), so
+                # they come first; passing one also proves ``target`` is
+                # a scheduled Event.
+                fifo = sim._fifo
+                if fifo:
+                    if fifo[0] is not target:
+                        break
+                    queue = sim._queue
+                    if queue and queue[0][0] == sim.now:
+                        break  # due heap entries fire before the FIFO
+                else:
+                    queue = sim._queue
+                    if not queue:
+                        break
+                    head = queue[0]
+                    if head[2] is not target or head[0] > sim._horizon:
+                        break  # not the heap head, or past run(until=...)
+                # No other waiter on ``target``, no callback of the waking
+                # event left to run, room under max_events (the event
+                # firing now is not counted yet, hence > 1; the room is 0
+                # outside run(), so step() never inlines), and the stop
+                # event unfired.
+                if (
+                    target._callbacks
+                    or waker._callbacks
+                    or sim._room <= 1
+                    or sim._stop._triggered
+                ):
+                    break
+                if fifo:
+                    fifo.popleft()
+                else:
+                    sim.now = heappop(queue)[0]
+                sim._room -= 1
+                target._triggered = True
+                event = target
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event instances (use sim.timeout / sim.event)"
+                )
+            if not target._triggered:
+                self._waiting_on = target
+                target._callbacks.append(self._resume)
                 return
-            raise
-        self._wait_on(target)
-
-    def _throw(self, exc: BaseException) -> None:
-        if not self.is_alive:
-            return
-        try:
-            target = self.generator.throw(exc)
-        except StopIteration as stop:
-            self._trigger(stop.value, ok=True)
-            return
-        except BaseException as raised:
-            if self._callbacks:
-                self._trigger(raised, ok=False)
-                return
-            raise
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances (use sim.timeout / sim.event)"
-            )
-        if target._triggered:
-            self._resume(target)
-        else:
-            self._waiting_on = target
-            target._callbacks.append(self._resume)
+            event = target  # already fired: resume at once
 
 
 class AllOf(Event):
@@ -357,6 +402,13 @@ class Simulator:  # repro: lint-ok[slots]
         #: denominator engine benchmarks use to express work done per
         #: wall-clock second in kernel terms
         self.events_fired: int = 0
+        # The bounds of the current run(), read by inline dispatch:
+        # events it may still fire (0 outside run(), so step() never
+        # inlines), the last tick it may reach, and its stop event.
+        self._room = 0
+        self._horizon = maxsize
+        self._never = Event(self)
+        self._stop = self._never
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -440,10 +492,15 @@ class Simulator:  # repro: lint-ok[slots]
         hardware-deadlock scenario (pass ``detect_deadlock=False`` for
         step-wise use where external code triggers events between runs).
         """
-        fired = 0
         queue = self._queue
         fifo = self._fifo
         fifo_pop = fifo.popleft
+        # Every fire, here or inline in Process._resume, draws on
+        # self._room; unguarded runs start it at maxsize.
+        room = maxsize if max_events is None else max_events
+        self._room = room
+        self._horizon = maxsize if until is None else until
+        self._stop = self._never if stop_event is None else stop_event
         try:
             while queue or fifo:
                 if stop_event is not None and stop_event._triggered:
@@ -465,12 +522,13 @@ class Simulator:  # repro: lint-ok[slots]
                     # Batch-drain the same-tick run queue before the
                     # clock may advance.
                     fifo_pop()._fire()
-                fired += 1
-                if max_events is not None and fired >= max_events:
+                self._room -= 1
+                if self._room <= 0:
                     raise SimulationError(f"exceeded max_events={max_events}")
         finally:
             # One add per run() call, off the per-event path.
-            self.events_fired += fired
+            self.events_fired += room - self._room
+            self._room = 0
         stuck = [p for p in self._processes if p.is_alive and not p.daemon]
         if detect_deadlock and stuck:
             waiting = [p.name for p in stuck]

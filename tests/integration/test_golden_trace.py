@@ -32,7 +32,13 @@ STATS_FILE = os.path.join(GOLDEN_DIR, "table2_wcs_stats.json")
 #: every channel the platform components emit on
 ALL_CHANNELS = ("bus", "cache", "irq", "mem", "core")
 
-def run_golden_workload(engine: str = "exact"):
+#: kernel events the workload fires.  Inline dispatch fires most of them
+#: inside ``Process._resume`` rather than from ``Simulator.run``'s loop;
+#: each must still count, or ``events_fired`` and ``max_events`` drift.
+GOLDEN_EVENTS_FIRED = 12869
+
+
+def _golden_result(engine: str = "exact"):
     """The fixed workload: Table-2 protocol pair + a snooped ARM920T.
 
     Small caches force evictions and write-backs; the non-coherent
@@ -50,13 +56,18 @@ def run_golden_workload(engine: str = "exact"):
         preset_generic("p1", "MESI", cache_size=1024),
         preset_arm920t("p2").with_(cache_size=1024, cache_ways=4),
     )
-    result = run_microbench(
+    return run_microbench(
         spec,
         cores=cores,
         keep_platform=True,
         trace_channels=ALL_CHANNELS,
         engine=engine,
     )
+
+
+def run_golden_workload(engine: str = "exact"):
+    """The golden workload's trace text and headline statistics."""
+    result = _golden_result(engine)
     trace_text = result.platform.tracer.format()
     stats = dict(sorted(result.stats.items()))
     stats["__elapsed_ns__"] = result.elapsed_ns
@@ -84,6 +95,11 @@ def test_headline_stats_match_golden(engine):
     assert stats == golden, (
         "headline statistics diverged from the committed golden snapshot"
     )
+
+
+@pytest.mark.parametrize("engine", KERNEL_ENGINES)
+def test_events_fired_matches_golden(engine):
+    assert _golden_result(engine).platform.sim.events_fired == GOLDEN_EVENTS_FIRED
 
 
 def _regen():  # pragma: no cover - maintenance helper

@@ -415,6 +415,185 @@ class TestRun:
         assert build() == build()
 
 
+class TestInlineDispatch:
+    """A process runs on through an event only when run() would fire it next.
+
+    Each case breaks one condition of inline dispatch and checks that the
+    scheduler's order is what happens: an inline fire there would run a
+    continuation too early, skip a callback or cross a run bound.
+    """
+
+    def test_already_fired_events_do_not_recurse(self, sim):
+        """Regression: each fired event used to cost two stack frames."""
+        done = sim.event()
+        done.succeed("v")
+        sim.run()
+
+        def proc():
+            for _ in range(5000):
+                assert (yield done) == "v"
+            return "ok"
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.value == "ok"
+
+    def test_lone_process_counts_every_event(self, sim):
+        def proc():
+            for _ in range(1000):
+                yield sim.timeout(1)
+
+        sim.process(proc())
+        sim.run()
+        # bootstrap + 1000 timeouts + the process's own completion
+        assert sim.events_fired == 1002
+        assert sim.now == 1000
+
+    def test_waker_with_callbacks_left_runs_them_first(self, sim):
+        """A first waiter must not go on before a later waiter's callback."""
+        log = []
+        gate = sim.event()
+
+        def first():
+            yield gate
+            yield sim.timeout(0)  # the FIFO head once gate has fired
+            log.append("first")
+
+        sim.process(first())
+        sim.run(detect_deadlock=False)
+        gate.add_callback(lambda _e: log.append("second"))
+        gate.succeed()
+        sim.run()
+        assert log == ["second", "first"]
+
+    def test_yielded_event_with_another_waiter_is_not_inlined(self, sim):
+        """The other waiter's callback runs, and before this process."""
+        log = []
+
+        def proc():
+            event = sim.event()
+            event.add_callback(lambda _e: log.append("other"))
+            event.succeed()  # the FIFO head
+            yield event
+            log.append("proc")
+
+        sim.process(proc())
+        sim.run()
+        assert log == ["other", "proc"]
+
+    def test_heap_entry_due_now_fires_before_the_fifo_head(self, sim):
+        log = []
+        wake = sim.timeout(10)
+        due = sim.timeout(10)
+        due.add_callback(lambda _e: log.append("due"))
+
+        def proc():
+            yield wake
+            yield sim.timeout(0)  # FIFO head, but `due` is still on the heap
+            log.append("proc")
+
+        sim.process(proc())
+        sim.run()
+        assert log == ["due", "proc"]
+
+    def test_fired_stop_event_halts_before_the_next_event(self, sim):
+        log = []
+        stop = sim.event()
+
+        def waiter():
+            yield stop
+            log.append("woken")
+            yield sim.timeout(0)
+            log.append("ran past stop")
+
+        def trigger():
+            yield sim.timeout(5)
+            stop.succeed()
+
+        sim.process(waiter())
+        sim.process(trigger())
+        sim.run(stop_event=stop)
+        assert log == ["woken"]
+        sim.run()
+        assert log == ["woken", "ran past stop"]
+
+    def test_stop_event_fired_inline_halts_the_run(self, sim):
+        log = []
+        stop = sim.event()
+
+        def proc():
+            stop.succeed()
+            yield stop  # FIFO head, no other waiter: fired inline
+            log.append("stopped")
+            yield sim.timeout(0)
+            log.append("ran past stop")
+
+        sim.process(proc())
+        sim.run(stop_event=stop)
+        assert log == ["stopped"]
+
+    def test_timeout_past_until_is_left_on_the_heap(self, sim):
+        log = []
+
+        def proc():
+            yield sim.timeout(10)
+            log.append(sim.now)
+            yield sim.timeout(10)  # the heap head, due at 20 > until
+            log.append(sim.now)
+
+        sim.process(proc())
+        assert sim.run(until=15) == 15
+        assert log == [10]
+        sim.run()
+        assert log == [10, 20]
+
+    @pytest.mark.parametrize("after_run", [False, True])
+    def test_step_never_inlines(self, sim, after_run):
+        if after_run:
+            sim.run()  # a finished run() must not leave inline dispatch on
+        log = []
+
+        def proc():
+            yield sim.timeout(1)
+            log.append(1)
+            yield sim.timeout(1)
+            log.append(2)
+
+        sim.process(proc())
+        sim.step()  # bootstrap: runs up to the first timeout
+        assert log == [] and sim.events_fired == 1
+        sim.step()
+        assert log == [1] and sim.events_fired == 2
+        sim.step()
+        assert log == [1, 2] and sim.events_fired == 3
+
+    def test_max_events_counts_inline_fires(self, sim):
+        def proc():
+            for _ in range(1000):
+                yield sim.timeout(1)
+
+        sim.process(proc())
+        with pytest.raises(SimulationError, match="max_events=50"):
+            sim.run(max_events=50)
+        assert sim.events_fired == 50 and sim.now == 49
+
+    def test_max_events_stops_a_lone_process_where_run_would(self, sim):
+        """The guard raises after exactly ``max_events`` fires, as before."""
+        laps = []
+
+        def endless():
+            while True:
+                yield sim.timeout(1)
+                laps.append(sim.now)
+
+        sim.process(endless(), daemon=True)
+        with pytest.raises(SimulationError, match="max_events=100"):
+            sim.run(max_events=100)
+        # bootstrap + 99 timeouts; the 100th fire's continuation has run
+        assert sim.events_fired == 100
+        assert len(laps) == 99 and sim.now == 99
+
+
 class TestSlots:
     """Kernel event types must stay slotted (no per-instance __dict__).
 
